@@ -59,6 +59,12 @@ func mapBaselineScenarios(t *testing.T) []struct {
 		{"builtin_2d", service.Request{
 			Plans: []string{"A1", "A2", "B1"}, Rows: 65536, MaxExp: 6, Grid2D: true,
 		}},
+		// The only baseline carrying a mesh_1d: Figure 2's plans on the
+		// refined 1-D axis.
+		{"builtin_1d_refine", service.Request{
+			Plans: []string{"A1", "F1-trad", "A2", "F2-merge-ab", "F2-merge-ba", "F2-hash-ab", "F2-hash-ba"},
+			Rows:  16384, MaxExp: 12, Refine: true,
+		}},
 		{"skewed_query", service.Request{Query: q, Rows: 65536, MaxExp: 6}},
 		{"join_query", service.Request{Query: jq}},
 	}
