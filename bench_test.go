@@ -44,6 +44,12 @@ func sharedStudy(b *testing.B) *Study {
 	return benchStudy
 }
 
+// paperPlan looks one of the paper's plans up by id, across the 13-plan
+// study and the Figure 1/2 extras.
+func paperPlan(id string) plan.Plan {
+	return plan.ByID(append(plan.AllPlans(), plan.Figure2Plans()...), id)
+}
+
 func benchFigure(b *testing.B, run func(*Study) *Artifacts) *Artifacts {
 	s := sharedStudy(b)
 	b.ResetTimer()
@@ -190,6 +196,15 @@ func sweepStudy(b *testing.B) *Study {
 	return sweepBenchStudy
 }
 
+// benchSweep runs one sweep request to completion.
+func benchSweep(b *testing.B, plans []core.PlanSource, opts ...core.SweepOption) *core.SweepResult {
+	res, err := core.NewSweep(plans, opts...).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func sweepBenchAxis(rows int64, maxExp int) ([]float64, []int64) {
 	var fr []float64
 	var th []int64
@@ -217,7 +232,7 @@ func BenchmarkSweep2DExecutors(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			ex := NewExecutor(workers)
 			for i := 0; i < b.N; i++ {
-				core.Sweep2DWith(ex, s.AllSources(), fr, fr, th, th)
+				benchSweep(b, s.AllSources(), core.Grid2D(fr, fr, th, th), core.WithExecutor(ex))
 			}
 		})
 	}
@@ -253,54 +268,17 @@ func BenchmarkSweep2DAdaptive(b *testing.B) {
 				if c.adaptive {
 					cfg := core.DefaultAdaptiveConfig()
 					cfg.ResultSize = oracle
-					_, mesh := core.AdaptiveSweep2DWith(ex, s.AllSources(), fr, fr, th, th, cfg)
-					cells = mesh.MeasuredCells
+					res := benchSweep(b, s.AllSources(), core.Grid2D(fr, fr, th, th),
+						core.WithExecutor(ex), core.WithAdaptive(cfg))
+					cells = res.Mesh2D.MeasuredCells
 				} else {
-					core.Sweep2DWith(ex, s.AllSources(), fr, fr, th, th)
+					benchSweep(b, s.AllSources(), core.Grid2D(fr, fr, th, th), core.WithExecutor(ex))
 					cells = 13 * len(th) * len(th)
 				}
 			}
 			b.ReportMetric(float64(cells), "measured-cells")
 		})
 	}
-}
-
-// BenchmarkSweepAPIOverhead contrasts the legacy positional entry point
-// with the equivalent NewSweep request on near-free synthetic plan
-// sources, so the API layers themselves — not the engine — dominate the
-// measurement. The options path must show no measurable overhead over the
-// shim (which itself routes through NewSweep): both sides do the same
-// work, and the delta is request-construction cost amortized over a
-// 3-plan × 33² grid.
-func BenchmarkSweepAPIOverhead(b *testing.B) {
-	synth := func(id string, scale int64) core.PlanSource {
-		return core.PlanSource{ID: id, Measure: func(ta, tb int64) core.Measurement {
-			if tb < 0 {
-				tb = 1
-			}
-			return core.Measurement{Time: time.Duration(scale*ta + 7*tb), Rows: ta * tb}
-		}}
-	}
-	plans := []core.PlanSource{synth("p1", 3), synth("p2", 11), synth("p3", 5)}
-	n := 33
-	fr := make([]float64, n)
-	th := make([]int64, n)
-	for i := range fr {
-		fr[i] = float64(i+1) / float64(n)
-		th[i] = int64(i + 1)
-	}
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Sweep2DWith(core.SerialExecutor{}, plans, fr, fr, th, th)
-		}
-	})
-	b.Run("options", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewSweep(plans, core.Grid2D(fr, fr, th, th)).Run(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkMeasureCache contrasts a cold sweep with a cache-served repeat
@@ -313,11 +291,11 @@ func BenchmarkMeasureCache(b *testing.B) {
 	for _, src := range s.AllSources() {
 		sources = append(sources, cache.Wrap("bench", src))
 	}
-	core.Sweep2DWith(NewExecutor(4), sources, fr, fr, th, th) // warm
+	benchSweep(b, sources, core.Grid2D(fr, fr, th, th), core.WithParallelism(4)) // warm
 	before := cache.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Sweep2DWith(NewExecutor(4), sources, fr, fr, th, th)
+		benchSweep(b, sources, core.Grid2D(fr, fr, th, th), core.WithParallelism(4))
 	}
 	b.StopTimer()
 	st := cache.Stats()
@@ -338,7 +316,7 @@ func BenchmarkSweep1DExecutors(b *testing.B) {
 				sources = append(sources, PlanSourceFor(s.SysA, p))
 			}
 			for i := 0; i < b.N; i++ {
-				core.Sweep1DWith(ex, sources, fr, th)
+				benchSweep(b, sources, core.Grid1D(fr, th), core.WithExecutor(ex))
 			}
 		})
 	}
@@ -382,7 +360,7 @@ func BenchmarkAblationFetchBatch(b *testing.B) {
 			}
 			var vt time.Duration
 			for i := 0; i < b.N; i++ {
-				r := scaled.Run(plan.PlanA2IdxAImproved(), plan.Query{TA: n, TB: -1})
+				r := scaled.Run(paperPlan("A2"), plan.Query{TA: n, TB: -1})
 				vt = r.Time
 			}
 			b.ReportMetric(vt.Seconds(), "virtual-sec")
@@ -452,7 +430,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 				q := plan.Query{TA: cfg.Rows / 8, TB: -1}
 				var vt time.Duration
 				for i := 0; i < b.N; i++ {
-					vt = sys.Run(plan.PlanFig1Traditional(), q).Time
+					vt = sys.Run(paperPlan("F1-trad"), q).Time
 				}
 				b.ReportMetric(vt.Seconds(), "virtual-sec")
 			})
@@ -475,8 +453,8 @@ func BenchmarkAblationIODevice(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			scan := plan.PlanA1TableScan()
-			trad := plan.PlanFig1Traditional()
+			scan := paperPlan("A1")
+			trad := paperPlan("F1-trad")
 			var crossover float64
 			for i := 0; i < b.N; i++ {
 				scanCost := sys.Run(scan, plan.Query{TA: cfg.Rows, TB: -1}).Time
@@ -579,7 +557,7 @@ func BenchmarkAblationSkew(b *testing.B) {
 			var rows int64
 			var vt time.Duration
 			for i := 0; i < b.N; i++ {
-				r := sys.Run(plan.PlanA2IdxAImproved(), q)
+				r := sys.Run(paperPlan("A2"), q)
 				rows, vt = r.Rows, r.Time
 			}
 			b.ReportMetric(float64(rows), "rows-selected")
@@ -594,8 +572,8 @@ func BenchmarkAblationHashJoin(b *testing.B) {
 	sys := ablationSystem(b)
 	n := sys.Rows()
 	cases := map[string]plan.Plan{
-		"build-small": plan.PlanA6HashAB(), // idx(a) range is the small side
-		"build-large": plan.PlanA7HashBA(),
+		"build-small": paperPlan("A6"), // idx(a) range is the small side
+		"build-large": paperPlan("A7"),
 	}
 	for name, p := range cases {
 		b.Run(name, func(b *testing.B) {

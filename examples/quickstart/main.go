@@ -32,8 +32,8 @@ func main() {
 
 	// Two fixed plans for the query SELECT * FROM lineitem WHERE a < t:
 	// a full table scan and the paper's "improved" index scan.
-	scan := plan.PlanA1TableScan()
-	improved := plan.PlanA2IdxAImproved()
+	scan := plan.ByID(plan.Figure1Plans(), "A1")
+	improved := plan.ByID(plan.Figure1Plans(), "A2")
 
 	// Sweep selectivities 2^-14 .. 2^0 and measure both plans. (The sweep
 	// must reach fractions where a handful of point fetches beats reading

@@ -33,6 +33,13 @@ import (
 // drops out after the coarse pass, while the plans fighting over a region
 // boundary are measured at full resolution along it.
 //
+// One refiner serves both dimensionalities. A 1-D sweep is the mesh over a
+// collapsed B axis (one point, tb = -1; see grid): blocks are intervals,
+// a block's four corners are its two ends, its split point is a corner of
+// both children, the guard band and the landmark pass look along A only,
+// and every model interpolates along A alone. Sweep.Run projects the
+// result onto Map1D/Mesh1D.
+//
 // Determinism contract: every *measured* cell holds exactly the value the
 // exhaustive sweep measures (same MeasureFunc, same arguments), the set of
 // measured cells depends only on measured values (not on scheduling), and
@@ -130,12 +137,11 @@ func (me *Mesh2D) MeasuredFraction() float64 {
 
 // adaptive2D is the in-flight state of one adaptive 2-D sweep.
 type adaptive2D struct {
-	ctx          context.Context
-	ex           SweepExecutor
-	plans        []PlanSource
-	fracA, fracB []float64
-	ta, tb       []int64
-	cfg          AdaptiveConfig
+	ctx   context.Context
+	ex    SweepExecutor
+	plans []PlanSource
+	grid
+	cfg AdaptiveConfig
 
 	n, m    int                 // grid points per axis
 	times   [][][]time.Duration // [p][i][j]
@@ -166,37 +172,18 @@ type aBlock struct {
 	active         []bool
 }
 
-// AdaptiveSweep2D runs an adaptive 2-D sweep serially with default
-// configuration.
-//
-// Deprecated: use NewSweep with Grid2D and
-// WithAdaptive(DefaultAdaptiveConfig()).
-func AdaptiveSweep2D(plans []PlanSource, fracA, fracB []float64,
-	ta, tb []int64) (*Map2D, *Mesh2D) {
-	res := mustRun(NewSweep(plans, Grid2D(fracA, fracB, ta, tb), WithAdaptive(DefaultAdaptiveConfig())))
-	return res.Map2D, res.Mesh2D
-}
-
-// AdaptiveSweep2DWith measures an adaptive multi-resolution 2-D sweep on
-// the given executor. The returned map has every plan's full grid —
-// measured where the mesh refined, interpolated elsewhere — and the mesh
-// reports which was which. Grids too small to subsample (under 3 points on
-// either axis) fall back to the exhaustive sweep.
-//
-// Deprecated: use NewSweep with Grid2D, WithExecutor, and WithAdaptive.
-func AdaptiveSweep2DWith(ex SweepExecutor, plans []PlanSource,
-	fracA, fracB []float64, ta, tb []int64, cfg AdaptiveConfig) (*Map2D, *Mesh2D) {
-	res := mustRun(NewSweep(plans, Grid2D(fracA, fracB, ta, tb), WithExecutor(ex), WithAdaptive(cfg)))
-	return res.Map2D, res.Mesh2D
-}
-
-// adaptiveSweep2D is the adaptive 2-D sweep under a context; grid lengths
-// are validated by NewSweep.
+// adaptiveSweep2D measures an adaptive multi-resolution sweep of g on the
+// given executor. The returned map has every plan's full grid — measured
+// where the mesh refined, interpolated elsewhere — and the mesh reports
+// which was which. Grids too small to subsample (under 3 points on either
+// axis) fall back to the exhaustive sweep; the one-point B axis of a 1-D
+// sweep is not an axis to subsample, so only its A axis counts. Grid
+// lengths are validated by NewSweep.
 func adaptiveSweep2D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
-	fracA, fracB []float64, ta, tb []int64, cfg AdaptiveConfig) (*Map2D, *Mesh2D) {
-	n, m := len(ta), len(tb)
-	if n < 3 || m < 3 || len(plans) == 0 {
-		mp := sweep2D(ctx, ex, plans, fracA, fracB, ta, tb)
+	g grid, cfg AdaptiveConfig) (*Map2D, *Mesh2D) {
+	n, m := len(g.ta), len(g.tb)
+	if n < 3 || (m < 3 && g.dims != 1) || len(plans) == 0 {
+		mp := sweep2D(ctx, ex, plans, g)
 		return mp, exhaustiveMesh2D(len(plans), n, m)
 	}
 	if cfg.CoarseLevels < 1 {
@@ -205,10 +192,7 @@ func adaptiveSweep2D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
 	if cfg.Landmarks == (LandmarkConfig{}) {
 		cfg.Landmarks = MapLandmarkConfig()
 	}
-	s := &adaptive2D{
-		ctx: ctx, ex: ex, plans: plans, fracA: fracA, fracB: fracB, ta: ta, tb: tb,
-		cfg: cfg, n: n, m: m,
-	}
+	s := &adaptive2D{ctx: ctx, ex: ex, plans: plans, grid: g, cfg: cfg, n: n, m: m}
 	s.times = make([][][]time.Duration, len(plans))
 	s.measured = make([][][]bool, len(plans))
 	s.fillBlk = make([][][]int, len(plans))
@@ -357,14 +341,14 @@ func (s *adaptive2D) measureRound(wants map[[2]int][]bool) {
 				want = s.cfg.ResultSize(s.ta[r.i], s.tb[r.j])
 			}
 			if res.Rows != want {
-				panic(fmt.Sprintf("core: plan %s returned %d rows at (%d,%d), result-size oracle says %d",
-					s.plans[p].ID, res.Rows, r.i, r.j, want))
+				panic(fmt.Sprintf("core: plan %s returned %d rows at %s, result-size oracle says %d",
+					s.plans[p].ID, res.Rows, s.label(r.i, r.j), want))
 			}
 			s.rows[r.i][r.j] = want
 			s.rowsSet[r.i][r.j] = true
 		} else if res.Rows != s.rows[r.i][r.j] {
-			panic(fmt.Sprintf("core: plan %s returned %d rows at (%d,%d), others %d",
-				s.plans[p].ID, res.Rows, r.i, r.j, s.rows[r.i][r.j]))
+			panic(fmt.Sprintf("core: plan %s returned %d rows at %s, others %d",
+				s.plans[p].ID, res.Rows, s.label(r.i, r.j), s.rows[r.i][r.j]))
 		}
 	}
 }
@@ -400,13 +384,12 @@ func (s *adaptive2D) interp2(p int, b *aBlock, i, j int, mode uint8) time.Durati
 	t11 := float64(s.times[p][b.i1][b.j1])
 	var val float64
 	if mode == modeLog && t00 > 0 && t01 > 0 && t10 > 0 && t11 > 0 {
-		u := float64(i-b.i0) / float64(b.i1-b.i0)
-		v := float64(j-b.j0) / float64(b.j1-b.j0)
+		u, v := unit(i, b.i0, b.i1), unit(j, b.j0, b.j1)
 		val = math.Exp(math.Log(t00)*(1-u)*(1-v) + math.Log(t10)*u*(1-v) +
 			math.Log(t01)*(1-u)*v + math.Log(t11)*u*v)
 	} else {
-		u := (s.fracA[i] - s.fracA[b.i0]) / (s.fracA[b.i1] - s.fracA[b.i0])
-		v := (s.fracB[j] - s.fracB[b.j0]) / (s.fracB[b.j1] - s.fracB[b.j0])
+		u := unit(s.fracA[i], s.fracA[b.i0], s.fracA[b.i1])
+		v := unit(s.fracB[j], s.fracB[b.j0], s.fracB[b.j1])
 		val = t00*(1-u)*(1-v) + t10*u*(1-v) + t01*(1-u)*v + t11*u*v
 	}
 	return time.Duration(math.Round(val))
@@ -446,6 +429,16 @@ func lagrangeWeights(xs []int, x int) []float64 {
 		w[k] = wk
 	}
 	return w
+}
+
+// unit maps x in [lo, hi] to [0, 1]. A zero-width extent — the collapsed B
+// axis of a 1-D sweep — maps to 0, which reduces the bilinear forms above
+// to linear interpolation along A.
+func unit[T int | float64](x, lo, hi T) float64 {
+	if hi == lo {
+		return 0
+	}
+	return float64(x-lo) / float64(hi-lo)
 }
 
 // valueAt returns the sweep's current estimate of plan p's time at a
@@ -504,9 +497,12 @@ func (s *adaptive2D) dropPlan(p, region, basis int, mode uint8) {
 
 // splitCoords returns the lattice coordinates a block contributes when it
 // splits: its corner coordinates plus the midpoints of any axis wider than
-// one step.
+// one step. A zero-width axis contributes its one coordinate.
 func splitCoords(lo, hi int) []int {
-	if hi-lo <= 1 {
+	switch {
+	case hi == lo:
+		return []int{lo}
+	case hi-lo == 1:
 		return []int{lo, hi}
 	}
 	return []int{lo, (lo + hi) / 2, hi}
@@ -656,8 +652,7 @@ func (s *adaptive2D) rowEstimate(i, j int) int64 {
 		return s.cfg.ResultSize(s.ta[i], s.tb[j])
 	}
 	b := &s.blocks[0]
-	u := float64(i-b.i0) / float64(b.i1-b.i0)
-	v := float64(j-b.j0) / float64(b.j1-b.j0)
+	u, v := unit(i, b.i0, b.i1), unit(j, b.j0, b.j1)
 	l := func(x int64) float64 { return math.Log1p(float64(x)) }
 	return int64(math.Round(math.Expm1(
 		l(s.rows[b.i0][b.j0])*(1-u)*(1-v) + l(s.rows[b.i1][b.j0])*u*(1-v) +
@@ -796,11 +791,14 @@ func (s *adaptive2D) evaluateSplit(id int) []int {
 		return modeFrac
 	}
 
+	// Children span adjacent split coordinates. Only the B axis can be
+	// collapsed (a 1-D sweep); its one coordinate is the single
+	// zero-width extent [j0, j0].
 	var queued []int
 	for ii := 0; ii+1 < len(is); ii++ {
-		for jj := 0; jj+1 < len(js); jj++ {
+		for jj := 0; jj < max(len(js)-1, 1); jj++ {
 			child := aBlock{
-				i0: is[ii], i1: is[ii+1], j0: js[jj], j1: js[jj+1],
+				i0: is[ii], i1: is[ii+1], j0: js[jj], j1: js[min(jj+1, len(js)-1)],
 				depth: b.depth + 1, parent: id,
 			}
 			cid := len(s.blocks)

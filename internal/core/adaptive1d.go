@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
-	"sort"
-	"time"
-)
+import "time"
 
 // Mesh1D records which cells of an adaptive 1-D sweep were measured.
 type Mesh1D struct {
@@ -29,521 +23,42 @@ func (me *Mesh1D) MeasuredFraction() float64 {
 	return float64(me.MeasuredCells) / float64(me.TotalCells)
 }
 
-// AdaptiveSweep1D runs an adaptive 1-D sweep serially with default
-// configuration.
-//
-// Deprecated: use NewSweep with Grid1D and
-// WithAdaptive(DefaultAdaptiveConfig()).
-func AdaptiveSweep1D(plans []PlanSource, fractions []float64,
-	thresholds []int64) (*Map1D, *Mesh1D) {
-	res := mustRun(NewSweep(plans, Grid1D(fractions, thresholds), WithAdaptive(DefaultAdaptiveConfig())))
-	return res.Map1D, res.Mesh1D
+// project1D lowers the result of a sweep over a collapsed B axis (one
+// point, tb = -1) onto the 1-D wire types: column 0 of every grid. The
+// mesh is nil for exhaustive sweeps; Mesh1D has no per-phase breakdown, so
+// the 2-D mesh's is dropped.
+func project1D(m *Map2D, me *Mesh2D) (*Map1D, *Mesh1D) {
+	m1 := &Map1D{
+		Fractions:  m.FracA,
+		Thresholds: m.TA,
+		Plans:      m.Plans,
+		Times:      make([][]time.Duration, len(m.Times)),
+		Rows:       column0(m.Rows),
+	}
+	for p, grid := range m.Times {
+		m1.Times[p] = column0(grid)
+	}
+	if me == nil {
+		return m1, nil
+	}
+	me1 := &Mesh1D{
+		PlanPoints:    make([][]bool, len(me.PlanPoints)),
+		Points:        column0(me.Points),
+		MeasuredCells: me.MeasuredCells,
+		TotalCells:    me.TotalCells,
+		Rounds:        me.Rounds,
+	}
+	for p, grid := range me.PlanPoints {
+		me1.PlanPoints[p] = column0(grid)
+	}
+	return m1, me1
 }
 
-// AdaptiveSweep1DWith is the interval counterpart of AdaptiveSweep2DWith:
-// a coarse pass over subsampled thresholds, bisection wherever the winner
-// changes across an interval or no validated interpolation model
-// reproduces a plan's midpoint, landmark/guard stabilization passes, and
-// model fill elsewhere. Sweeps under 3 points fall back to the exhaustive
-// sweep. See AdaptiveSweep2DWith for the models and the determinism
-// contract.
-//
-// Deprecated: use NewSweep with Grid1D, WithExecutor, and WithAdaptive.
-func AdaptiveSweep1DWith(ex SweepExecutor, plans []PlanSource,
-	fractions []float64, thresholds []int64, cfg AdaptiveConfig) (*Map1D, *Mesh1D) {
-	res := mustRun(NewSweep(plans, Grid1D(fractions, thresholds), WithExecutor(ex), WithAdaptive(cfg)))
-	return res.Map1D, res.Mesh1D
-}
-
-// adaptiveSweep1D is the adaptive 1-D sweep under a context; grid lengths
-// are validated by NewSweep.
-func adaptiveSweep1D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
-	fractions []float64, thresholds []int64, cfg AdaptiveConfig) (*Map1D, *Mesh1D) {
-	n := len(thresholds)
-	if n < 3 || len(plans) == 0 {
-		mp := sweep1D(ctx, ex, plans, fractions, thresholds)
-		me := &Mesh1D{
-			PlanPoints:    make([][]bool, len(plans)),
-			Points:        make([]bool, n),
-			MeasuredCells: len(plans) * n,
-			TotalCells:    len(plans) * n,
-			Rounds:        1,
-		}
-		for p := range me.PlanPoints {
-			me.PlanPoints[p] = make([]bool, n)
-			for i := range me.PlanPoints[p] {
-				me.PlanPoints[p][i] = true
-				me.Points[i] = true
-			}
-		}
-		return mp, me
+// column0 returns the first column of a grid.
+func column0[T any](grid [][]T) []T {
+	out := make([]T, len(grid))
+	for i, row := range grid {
+		out[i] = row[0]
 	}
-	if cfg.CoarseLevels < 1 {
-		cfg.CoarseLevels = 1
-	}
-	if cfg.Landmarks == (LandmarkConfig{}) {
-		cfg.Landmarks = MapLandmarkConfig()
-	}
-	s := &adaptive1D{
-		ctx: ctx, ex: ex, plans: plans, fr: fractions, th: thresholds, cfg: cfg, n: n,
-	}
-	s.times = make([][]time.Duration, len(plans))
-	s.measured = make([][]bool, len(plans))
-	s.fillIv = make([][]int, len(plans))
-	s.fillMode = make([][]uint8, len(plans))
-	for p := range plans {
-		s.times[p] = make([]time.Duration, n)
-		s.measured[p] = make([]bool, n)
-		s.fillIv[p] = make([]int, n)
-		s.fillMode[p] = make([]uint8, n)
-		for i := range s.fillIv[p] {
-			s.fillIv[p][i] = -1
-		}
-	}
-	s.rows = make([]int64, n)
-	s.rowsSet = make([]bool, n)
-	s.rowEst = make([]int64, n)
-	for i := range s.rowEst {
-		s.rowEst[i] = -1
-	}
-	s.run()
-	return s.finish()
-}
-
-type adaptive1D struct {
-	ctx   context.Context
-	ex    SweepExecutor
-	plans []PlanSource
-	fr    []float64
-	th    []int64
-	cfg   AdaptiveConfig
-
-	n       int
-	times   [][]time.Duration
-	rows    []int64
-	rowsSet []bool
-	// rowEst memoizes rowAt estimates for unmeasured points; -1 = not
-	// yet computed.
-	rowEst   []int64
-	measured [][]bool
-	fillIv   [][]int
-	fillMode [][]uint8
-	ivs      []interval
-	rounds   int
-	cells    int
-}
-
-// interval is one node of the refinement tree over [lo, hi] point
-// indexes; parent is the interval it was split from (-1 at the root).
-type interval struct {
-	lo, hi, depth int
-	parent        int
-	active        []bool
-}
-
-func (s *adaptive1D) measureRound(wants map[int][]bool) {
-	var pts []int
-	for pt := range wants {
-		pts = append(pts, pt)
-	}
-	sort.Ints(pts)
-	type cellRef struct{ pt, plan int }
-	var cellOf []cellRef
-	for _, pt := range pts {
-		for p, want := range wants[pt] {
-			if want && !s.measured[p][pt] {
-				cellOf = append(cellOf, cellRef{pt: pt, plan: p})
-			}
-		}
-	}
-	if len(cellOf) == 0 {
-		return
-	}
-	got := make([]Measurement, len(cellOf))
-	executeCells(s.ctx, s.ex, len(cellOf), func(cell int) {
-		ref := cellOf[cell]
-		got[cell] = s.plans[ref.plan].Measure(s.th[ref.pt], -1)
-	})
-	s.rounds++
-	s.cells += len(cellOf)
-	for ci, ref := range cellOf {
-		res := got[ci]
-		s.times[ref.plan][ref.pt] = res.Time
-		s.measured[ref.plan][ref.pt] = true
-		if !s.rowsSet[ref.pt] {
-			want := res.Rows
-			if s.cfg.ResultSize != nil {
-				want = s.cfg.ResultSize(s.th[ref.pt], -1)
-			}
-			if res.Rows != want {
-				panic(fmt.Sprintf("core: plan %s returned %d rows at point %d, result-size oracle says %d",
-					s.plans[ref.plan].ID, res.Rows, ref.pt, want))
-			}
-			s.rows[ref.pt] = want
-			s.rowsSet[ref.pt] = true
-		} else if res.Rows != s.rows[ref.pt] {
-			panic(fmt.Sprintf("core: plan %s returned %d rows at point %d, others %d",
-				s.plans[ref.plan].ID, res.Rows, ref.pt, s.rows[ref.pt]))
-		}
-	}
-}
-
-// interp interpolates a plan's time inside an interval under the given
-// model; see adaptive2D.interp2 for the two models.
-func (s *adaptive1D) interp(p int, iv *interval, i int, mode uint8) time.Duration {
-	if mode == modeQuad {
-		return s.quadInterp(p, iv, i)
-	}
-	lo := float64(s.times[p][iv.lo])
-	hi := float64(s.times[p][iv.hi])
-	if mode == modeLog && lo > 0 && hi > 0 {
-		u := float64(i-iv.lo) / float64(iv.hi-iv.lo)
-		return time.Duration(math.Round(math.Exp(math.Log(lo)*(1-u) + math.Log(hi)*u)))
-	}
-	u := (s.fr[i] - s.fr[iv.lo]) / (s.fr[iv.hi] - s.fr[iv.lo])
-	return time.Duration(math.Round(lo + u*(hi-lo)))
-}
-
-// quadInterp evaluates the Lagrange polynomial over the interval's
-// measured lattice ({lo, mid, hi}, or {lo, hi} for single-step
-// intervals) at point i for plan p, in grid-index coordinates.
-func (s *adaptive1D) quadInterp(p int, iv *interval, i int) time.Duration {
-	xs := splitCoords(iv.lo, iv.hi)
-	w := lagrangeWeights(xs, i)
-	val := 0.0
-	for k, x := range xs {
-		val += w[k] * float64(s.times[p][x])
-	}
-	if val < 0 {
-		val = 0
-	}
-	return time.Duration(math.Round(val))
-}
-
-func (s *adaptive1D) valueAt(p, i int) (time.Duration, bool) {
-	if s.measured[p][i] {
-		return s.times[p][i], true
-	}
-	if id := s.fillIv[p][i]; id >= 0 {
-		return s.interp(p, &s.ivs[id], i, s.fillMode[p][i]), true
-	}
-	return 0, false
-}
-
-func (s *adaptive1D) winnerAt(i int) int {
-	best, bestP := time.Duration(math.MaxInt64), -1
-	for p := range s.plans {
-		if t, ok := s.valueAt(p, i); ok && t < best {
-			best, bestP = t, p
-		}
-	}
-	return bestP
-}
-
-func (s *adaptive1D) bestAt(i int) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for p := range s.plans {
-		if t, ok := s.valueAt(p, i); ok && t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-func (s *adaptive1D) dropPlan(p, region, basis int, mode uint8) {
-	iv := &s.ivs[region]
-	for i := iv.lo; i <= iv.hi; i++ {
-		if s.fillIv[p][i] < 0 && !s.measured[p][i] {
-			s.fillIv[p][i] = basis
-			s.fillMode[p][i] = mode
-		}
-	}
-}
-
-func (s *adaptive1D) run() {
-	nPlans := len(s.plans)
-	allActive := make([]bool, nPlans)
-	for p := range allActive {
-		allActive[p] = true
-	}
-	s.ivs = append(s.ivs, interval{lo: 0, hi: s.n - 1, depth: 0, parent: -1, active: allActive})
-	wants := map[int][]bool{
-		0:       append([]bool(nil), allActive...),
-		s.n - 1: append([]bool(nil), allActive...),
-	}
-	s.measureRound(wants)
-
-	pending := []int{0}
-	for len(pending) > 0 {
-		wants = map[int][]bool{}
-		for _, id := range pending {
-			iv := &s.ivs[id]
-			mid := (iv.lo + iv.hi) / 2
-			mask := wants[mid]
-			if mask == nil {
-				mask = make([]bool, nPlans)
-				wants[mid] = mask
-			}
-			for p := range iv.active {
-				mask[p] = mask[p] || iv.active[p]
-			}
-		}
-		s.measureRound(wants)
-
-		var next []int
-		for _, id := range pending {
-			next = append(next, s.evaluateSplit(id)...)
-		}
-		pending = next
-	}
-	for s.landmarkPass() || s.guardPass() {
-	}
-}
-
-// want1 records a (plan, point) measurement demand in wants.
-func want1(wants map[int][]bool, nPlans, p, i int) {
-	mask := wants[i]
-	if mask == nil {
-		mask = make([]bool, nPlans)
-		wants[i] = mask
-	}
-	mask[p] = true
-}
-
-// guardPass hardens detected winner boundaries; see adaptive2D.guardPass.
-func (s *adaptive1D) guardPass() bool {
-	g := s.cfg.GuardBand
-	if g <= 0 {
-		return false
-	}
-	winner := make([]int, s.n)
-	for i := range winner {
-		winner[i] = s.winnerAt(i)
-	}
-	wants := map[int][]bool{}
-	for i := 0; i < s.n; i++ {
-		for d := -g; d <= g; d++ {
-			ni := i + d
-			if ni < 0 || ni >= s.n {
-				continue
-			}
-			w, nw := winner[i], winner[ni]
-			if w < 0 || nw < 0 || w == nw {
-				continue
-			}
-			for _, p := range []int{w, nw} {
-				if !s.measured[p][i] {
-					want1(wants, len(s.plans), p, i)
-				}
-			}
-		}
-	}
-	if len(wants) == 0 {
-		return false
-	}
-	s.measureRound(wants)
-	return true
-}
-
-// rowAt estimates the result size at a point: the measured value, the
-// oracle, or a geometric estimate from the sweep endpoints. Estimates
-// are memoized; the oracle scans the table on every call.
-func (s *adaptive1D) rowAt(i int) int64 {
-	if s.rowsSet[i] {
-		return s.rows[i]
-	}
-	if s.rowEst[i] >= 0 {
-		return s.rowEst[i]
-	}
-	est := s.rowEstimate(i)
-	s.rowEst[i] = est
-	return est
-}
-
-func (s *adaptive1D) rowEstimate(i int) int64 {
-	if s.cfg.ResultSize != nil {
-		return s.cfg.ResultSize(s.th[i], -1)
-	}
-	iv := &s.ivs[0]
-	u := float64(i-iv.lo) / float64(iv.hi-iv.lo)
-	l := func(x int64) float64 { return math.Log1p(float64(x)) }
-	return int64(math.Round(math.Expm1(l(s.rows[iv.lo])*(1-u) + l(s.rows[iv.hi])*u)))
-}
-
-// landmarkPass re-anchors landmark detection on measurements; see
-// adaptive2D.landmarkPass.
-func (s *adaptive1D) landmarkPass() bool {
-	lcfg := s.cfg.Landmarks
-	wants := map[int][]bool{}
-	// Row-count estimates are plan-independent: compute them once per pass.
-	rows := make([]int64, s.n)
-	for i := range rows {
-		rows[i] = s.rowAt(i)
-	}
-	times := make([]time.Duration, s.n)
-	for p := range s.plans {
-		for i := 0; i < s.n; i++ {
-			times[i], _ = s.valueAt(p, i)
-		}
-		for _, l := range FindLandmarks(rows, times, lcfg) {
-			for i := max(0, l.PrevIndex-1); i <= l.Index; i++ {
-				if !s.measured[p][i] {
-					want1(wants, len(s.plans), p, i)
-				}
-			}
-		}
-	}
-	if len(wants) == 0 {
-		return false
-	}
-	s.measureRound(wants)
-	return true
-}
-
-func (s *adaptive1D) evaluateSplit(id int) []int {
-	iv := s.ivs[id] // copy: s.ivs may grow below
-	mid := (iv.lo + iv.hi) / 2
-
-	// In 1-D the single split point is a corner of both children, so
-	// roughness there keeps the plan active in both; one fitting model is
-	// enough to drop. The quadratic model interpolates from the parent's
-	// lattice, which holds this split point out of its basis.
-	var quadBasis *interval
-	if iv.parent >= 0 {
-		pb := s.ivs[iv.parent]
-		quadBasis = &pb
-	}
-	rough := make([]bool, len(s.plans))
-	fit := make([]uint8, len(s.plans))
-	for p, act := range iv.active {
-		if !act {
-			continue
-		}
-		got := float64(s.times[p][mid])
-		tol := float64(s.cfg.AbsTol) + s.cfg.RelTol*got
-		rough[p] = true
-		for mode := uint8(0); mode < numModes; mode++ {
-			var want float64
-			if mode == modeQuad {
-				if quadBasis == nil {
-					continue
-				}
-				want = float64(s.quadInterp(p, quadBasis, mid))
-			} else {
-				want = float64(s.interp(p, &iv, mid, mode))
-			}
-			if math.Abs(got-want) <= tol {
-				rough[p] = false
-				fit[p] = mode
-				break
-			}
-		}
-	}
-
-	var queued []int
-	dropBasis := func(cid int, mode uint8) int {
-		if mode == modeQuad {
-			return iv.parent
-		}
-		return cid
-	}
-	for _, half := range [][2]int{{iv.lo, mid}, {mid, iv.hi}} {
-		child := interval{lo: half[0], hi: half[1], depth: iv.depth + 1, parent: id}
-		cid := len(s.ivs)
-		winTrig := s.winnerTrigger(&child)
-		coarse := child.depth < s.cfg.CoarseLevels
-
-		child.active = make([]bool, len(s.plans))
-		anyActive := false
-		for p, act := range iv.active {
-			if !act {
-				continue
-			}
-			keep := coarse || rough[p]
-			if winTrig && s.contender(p, &child) {
-				keep = true
-			}
-			child.active[p] = keep
-			anyActive = anyActive || keep
-		}
-		s.ivs = append(s.ivs, child)
-		for p, act := range iv.active {
-			if act && !child.active[p] {
-				s.dropPlan(p, cid, dropBasis(cid, fit[p]), fit[p])
-			}
-		}
-		if child.hi-child.lo > 1 && (coarse || winTrig || anyActive) {
-			queued = append(queued, cid)
-		} else if anyActive {
-			for p, act := range child.active {
-				if act {
-					s.dropPlan(p, cid, dropBasis(cid, fit[p]), fit[p])
-				}
-			}
-		}
-	}
-	return queued
-}
-
-func (s *adaptive1D) winnerTrigger(c *interval) bool {
-	w := s.winnerAt(c.lo)
-	ww := s.winnerAt(c.hi)
-	return w >= 0 && ww >= 0 && ww != w
-}
-
-func (s *adaptive1D) contender(p int, c *interval) bool {
-	f := s.cfg.ContenderFactor
-	if f < 1 {
-		return true
-	}
-	for _, i := range []int{c.lo, c.hi} {
-		t, ok := s.valueAt(p, i)
-		if !ok {
-			return true
-		}
-		if float64(t) <= f*float64(s.bestAt(i)) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *adaptive1D) finish() (*Map1D, *Mesh1D) {
-	me := &Mesh1D{
-		PlanPoints: make([][]bool, len(s.plans)),
-		Points:     make([]bool, s.n),
-		TotalCells: len(s.plans) * s.n,
-		Rounds:     s.rounds,
-	}
-	me.MeasuredCells = s.cells
-	for p := range s.plans {
-		me.PlanPoints[p] = s.measured[p]
-		for i := 0; i < s.n; i++ {
-			if s.measured[p][i] {
-				me.Points[i] = true
-				continue
-			}
-			id := s.fillIv[p][i]
-			if id < 0 {
-				id = 0
-			}
-			s.times[p][i] = s.interp(p, &s.ivs[id], i, s.fillMode[p][i])
-		}
-	}
-	for i := 0; i < s.n; i++ {
-		if !s.rowsSet[i] {
-			s.rows[i] = s.rowAt(i)
-		}
-	}
-	m := &Map1D{
-		Fractions:  s.fr,
-		Thresholds: s.th,
-		Rows:       s.rows,
-		Plans:      make([]string, len(s.plans)),
-		Times:      s.times,
-	}
-	for p, src := range s.plans {
-		m.Plans[p] = src.ID
-	}
-	return m, me
+	return out
 }

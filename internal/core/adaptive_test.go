@@ -1,10 +1,30 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
+
+// run1D and run2D run a sweep request to completion for tests that only
+// want its maps; a configuration error is a bug in the test.
+func run1D(plans []PlanSource, fr []float64, th []int64, opts ...SweepOption) (*Map1D, *Mesh1D) {
+	m, mesh, err := NewSweep(plans, append([]SweepOption{Grid1D(fr, th)}, opts...)...).Run1D(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return m, mesh
+}
+
+func run2D(plans []PlanSource, frA, frB []float64, thA, thB []int64, opts ...SweepOption) (*Map2D, *Mesh2D) {
+	m, mesh, err := NewSweep(plans, append([]SweepOption{Grid2D(frA, frB, thA, thB)}, opts...)...).Run2D(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return m, mesh
+}
 
 // Synthetic plans for adaptive-sweep tests: analytic cost curves that are
 // piecewise-affine in the selectivity fractions, like the engine's, but
@@ -73,8 +93,8 @@ func synthOracle() AdaptiveConfig {
 func TestAdaptiveSweep2DEquivalence(t *testing.T) {
 	plans := synthPlans()
 	fr, th := expAxis(16)
-	exhaustive := Sweep2D(plans, fr, fr, th, th)
-	adaptive, mesh := AdaptiveSweep2DWith(SerialExecutor{}, plans, fr, fr, th, th, synthOracle())
+	exhaustive, _ := run2D(plans, fr, fr, th, th)
+	adaptive, mesh := run2D(plans, fr, fr, th, th, WithAdaptive(synthOracle()))
 
 	if mesh.MeasuredCells >= mesh.TotalCells {
 		t.Fatalf("adaptive sweep measured %d of %d cells — no savings", mesh.MeasuredCells, mesh.TotalCells)
@@ -116,8 +136,8 @@ func TestAdaptiveSweep2DDeterministicAcrossExecutors(t *testing.T) {
 	plans := synthPlans()
 	fr, th := expAxis(14)
 	cfg := synthOracle()
-	mSer, meshSer := AdaptiveSweep2DWith(SerialExecutor{}, plans, fr, fr, th, th, cfg)
-	mPar, meshPar := AdaptiveSweep2DWith(ParallelExecutor{Workers: 8}, plans, fr, fr, th, th, cfg)
+	mSer, meshSer := run2D(plans, fr, fr, th, th, WithAdaptive(cfg))
+	mPar, meshPar := run2D(plans, fr, fr, th, th, WithAdaptive(cfg), WithParallelism(8))
 	if !reflect.DeepEqual(mSer, mPar) {
 		t.Error("adaptive maps differ between serial and parallel executors")
 	}
@@ -126,24 +146,95 @@ func TestAdaptiveSweep2DDeterministicAcrossExecutors(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSweep2DSmallGridFallsBack: a genuine 2-D request with an
+// axis too short to subsample measures exhaustively — including a one- or
+// two-point B axis, which only a Grid1D request may collapse.
 func TestAdaptiveSweep2DSmallGridFallsBack(t *testing.T) {
 	plans := synthPlans()
-	fr, th := expAxis(1) // 2 points per axis: below the adaptive minimum
-	m, mesh := AdaptiveSweep2D(plans, fr, fr, th, th)
-	if mesh.MeasuredCells != mesh.TotalCells {
-		t.Errorf("tiny grid should measure exhaustively, got %d of %d",
-			mesh.MeasuredCells, mesh.TotalCells)
+	frLong, thLong := expAxis(8)
+	for _, c := range []struct {
+		name       string
+		expA, expB int
+	}{
+		{"2x2", 1, 1},
+		{"9x1", 8, 0},
+		{"9x2", 8, 1},
+		{"2x9", 1, 8},
+	} {
+		frA, thA := expAxis(c.expA)
+		frB, thB := expAxis(c.expB)
+		m, mesh := run2D(plans, frA, frB, thA, thB, WithAdaptive(DefaultAdaptiveConfig()))
+		if mesh.MeasuredCells != mesh.TotalCells || mesh.Rounds != 1 {
+			t.Errorf("%s: tiny grid should measure exhaustively in one round, got %d of %d in %d",
+				c.name, mesh.MeasuredCells, mesh.TotalCells, mesh.Rounds)
+		}
+		if want, _ := run2D(plans, frA, frB, thA, thB); !reflect.DeepEqual(m, want) {
+			t.Errorf("%s: fallback map differs from exhaustive sweep", c.name)
+		}
 	}
-	if !reflect.DeepEqual(m, Sweep2D(plans, fr, fr, th, th)) {
-		t.Error("fallback map differs from exhaustive sweep")
+	// The same 9-point axis as a 1-D request does refine.
+	if _, mesh := run1D(plans, frLong, thLong, WithAdaptive(DefaultAdaptiveConfig())); mesh.MeasuredCells >= mesh.TotalCells {
+		t.Errorf("9-point 1-D sweep measured all %d cells", mesh.TotalCells)
+	}
+}
+
+// TestAdaptiveSweep1DSmallAxes covers the edges of the collapsed axis:
+// under 3 points the sweep falls back to an all-measured mesh, and 3
+// points — the smallest refinable axis — measure both ends, then the
+// midpoint, like any root block.
+func TestAdaptiveSweep1DSmallAxes(t *testing.T) {
+	plans := synthPlans()
+	for n := 1; n <= 3; n++ {
+		fr, th := expAxis(n - 1)
+		res, err := NewSweep(plans, Grid1D(fr, th), WithAdaptive(synthOracle())).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Map2D != nil || res.Mesh2D != nil {
+			t.Errorf("n=%d: 1-D sweep set 2-D result fields", n)
+		}
+		m, mesh := res.Map1D, res.Mesh1D
+		if want, _ := run1D(plans, fr, th); !reflect.DeepEqual(m, want) {
+			t.Errorf("n=%d: adaptive map differs from exhaustive sweep", n)
+		}
+		wantRounds := 1
+		if n == 3 {
+			wantRounds = 2
+		}
+		if mesh.MeasuredCells != len(plans)*n || mesh.TotalCells != len(plans)*n || mesh.Rounds != wantRounds {
+			t.Errorf("n=%d: mesh = %d of %d cells in %d rounds", n, mesh.MeasuredCells, mesh.TotalCells, mesh.Rounds)
+		}
+		for p := range plans {
+			for i := 0; i < n; i++ {
+				if !mesh.PlanPoints[p][i] || !mesh.Points[i] {
+					t.Errorf("n=%d: plan %d point %d not marked measured", n, p, i)
+				}
+			}
+		}
+	}
+}
+
+func TestSplitCoords(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi int
+		want   []int
+	}{
+		{4, 4, []int{4}}, // collapsed axis: one coordinate, not {4, 4}
+		{4, 5, []int{4, 5}},
+		{4, 6, []int{4, 5, 6}},
+		{0, 9, []int{0, 4, 9}},
+	} {
+		if got := splitCoords(c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("splitCoords(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
 	}
 }
 
 func TestAdaptiveSweep1DEquivalence(t *testing.T) {
 	plans := synthPlans()
 	fr, th := expAxis(16)
-	exhaustive := Sweep1D(plans, fr, th)
-	adaptive, mesh := AdaptiveSweep1DWith(SerialExecutor{}, plans, fr, th, synthOracle())
+	exhaustive, _ := run1D(plans, fr, th)
+	adaptive, mesh := run1D(plans, fr, th, WithAdaptive(synthOracle()))
 
 	if mesh.MeasuredCells >= mesh.TotalCells {
 		t.Fatalf("adaptive 1-D sweep measured %d of %d cells", mesh.MeasuredCells, mesh.TotalCells)
@@ -189,8 +280,8 @@ func TestAdaptiveSweep1DDeterministicAcrossExecutors(t *testing.T) {
 	plans := synthPlans()
 	fr, th := expAxis(12)
 	cfg := synthOracle()
-	mSer, meshSer := AdaptiveSweep1DWith(SerialExecutor{}, plans, fr, th, cfg)
-	mPar, meshPar := AdaptiveSweep1DWith(ParallelExecutor{Workers: 4}, plans, fr, th, cfg)
+	mSer, meshSer := run1D(plans, fr, th, WithAdaptive(cfg))
+	mPar, meshPar := run1D(plans, fr, th, WithAdaptive(cfg), WithParallelism(4))
 	if !reflect.DeepEqual(mSer, mPar) {
 		t.Error("adaptive 1-D maps differ between serial and parallel executors")
 	}
@@ -199,17 +290,42 @@ func TestAdaptiveSweep1DDeterministicAcrossExecutors(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRowOracleMismatchPanics: a result-size oracle or a second
+// plan disagreeing on row counts panics naming the plan and the point, in
+// the coordinates of the request's own dimensionality.
 func TestAdaptiveRowOracleMismatchPanics(t *testing.T) {
-	plans := synthPlans()
 	fr, th := expAxis(8)
-	cfg := DefaultAdaptiveConfig()
-	cfg.ResultSize = func(ta, tb int64) int64 { return -7 } // disagrees with every plan
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oracle disagreement did not panic")
+	badOracle := DefaultAdaptiveConfig()
+	badOracle.ResultSize = func(ta, tb int64) int64 { return -7 } // disagrees with every plan
+	offByOne := PlanSource{ID: "bad", Measure: func(ta, tb int64) Measurement {
+		return Measurement{Time: time.Second, Rows: synthRows(ta, tb) + 1}
+	}}
+	withBad := append(synthPlans(), offByOne)
+	for _, c := range []struct {
+		name string
+		run  func()
+		want []string
+	}{
+		{"oracle 2-D", func() { run2D(synthPlans(), fr, fr, th, th, WithAdaptive(badOracle)) },
+			[]string{"plan scan", "at (0,0)", "oracle says -7"}},
+		{"oracle 1-D", func() { run1D(synthPlans(), fr, th, WithAdaptive(badOracle)) },
+			[]string{"plan scan", "at point 0", "oracle says -7"}},
+		{"rows 2-D", func() { run2D(withBad, fr, fr, th, th, WithAdaptive(DefaultAdaptiveConfig())) },
+			[]string{"plan bad", "at (0,0)", "others"}},
+		{"rows 1-D", func() { run1D(withBad, fr, th, WithAdaptive(DefaultAdaptiveConfig())) },
+			[]string{"plan bad", "at point 0", "others"}},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			c.run()
+			return ""
+		}()
+		for _, w := range c.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%s: panic %q does not contain %q", c.name, msg, w)
+			}
 		}
-	}()
-	AdaptiveSweep2DWith(SerialExecutor{}, plans, fr, fr, th, th, cfg)
+	}
 }
 
 func TestWinnerGridTiesBreakLow(t *testing.T) {

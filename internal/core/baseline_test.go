@@ -8,11 +8,12 @@ import (
 func baselineTestMap() *Map2D {
 	fr := []float64{0.5, 1}
 	th := []int64{512, 1024}
-	return Sweep2D([]PlanSource{
+	m, _ := run2D([]PlanSource{
 		flatPlan("p1", 2*time.Second),
 		flatPlan("p2", 4*time.Second),
 		flatPlan("p3", time.Second), // global best, excluded from pool below
 	}, fr, fr, th, th)
+	return m
 }
 
 func TestBestGridOverSubset(t *testing.T) {

@@ -181,13 +181,13 @@ func TestMeasureCacheConcurrentSweeps(t *testing.T) {
 	}
 	fr, th := expAxis(5)
 	ex := ParallelExecutor{Workers: 8}
-	first := Sweep2DWith(ex, sources, fr, fr, th, th)
+	first, _ := run2D(sources, fr, fr, th, th, WithExecutor(ex))
 	st := c.Stats()
 	if st.Size != 3*len(th)*len(th) {
 		t.Fatalf("cache holds %d entries, want %d", st.Size, 3*len(th)*len(th))
 	}
 	before := counters[0].Load() + counters[1].Load() + counters[2].Load()
-	second := Sweep2DWith(ex, sources, fr, fr, th, th)
+	second, _ := run2D(sources, fr, fr, th, th, WithExecutor(ex))
 	after := counters[0].Load() + counters[1].Load() + counters[2].Load()
 	if after != before {
 		t.Errorf("repeat sweep measured %d new cells, want 0", after-before)
@@ -215,12 +215,12 @@ func TestMeasureCacheAdaptiveReusesExhaustiveCells(t *testing.T) {
 		sources = append(sources, c.Wrap("s", counted))
 	}
 	fr, th := expAxis(8)
-	Sweep2DWith(SerialExecutor{}, sources, fr, fr, th, th)
+	run2D(sources, fr, fr, th, th)
 	var before int64
 	for _, ct := range counters {
 		before += ct.Load()
 	}
-	AdaptiveSweep2DWith(SerialExecutor{}, sources, fr, fr, th, th, synthOracle())
+	run2D(sources, fr, fr, th, th, WithAdaptive(synthOracle()))
 	var after int64
 	for _, ct := range counters {
 		after += ct.Load()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -46,10 +47,17 @@ func fractionsAndThresholds(n int64, exps ...int) ([]float64, []int64) {
 
 func TestSweep1DBasics(t *testing.T) {
 	fr, th := fractionsAndThresholds(1<<16, 8, 4, 2, 0)
-	m := Sweep1D([]PlanSource{
+	res, err := NewSweep([]PlanSource{
 		flatPlan("scan", time.Second),
 		linearPlan("index", 10*time.Millisecond, 100*time.Microsecond),
-	}, fr, th)
+	}, Grid1D(fr, th)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Map2D != nil || res.Mesh1D != nil || res.Mesh2D != nil {
+		t.Error("exhaustive 1-D sweep set result fields beyond Map1D")
+	}
+	m := res.Map1D
 	if len(m.Plans) != 2 || m.Plans[0] != "scan" {
 		t.Fatalf("plans = %v", m.Plans)
 	}
@@ -90,12 +98,12 @@ func TestSweep1DRowMismatchPanics(t *testing.T) {
 		}
 	}()
 	fr, th := fractionsAndThresholds(1<<10, 2, 0)
-	Sweep1D([]PlanSource{flatPlan("ok", time.Second), bad}, fr, th)
+	run1D([]PlanSource{flatPlan("ok", time.Second), bad}, fr, th)
 }
 
 func TestSweep2DAndRelative(t *testing.T) {
 	fr, th := fractionsAndThresholds(1<<12, 6, 3, 0)
-	m := Sweep2D([]PlanSource{
+	m, _ := run2D([]PlanSource{
 		flatPlan("scan", time.Second),
 		linearPlan("idx", time.Millisecond, 500*time.Microsecond),
 	}, fr, fr, th, th)
@@ -258,7 +266,7 @@ func TestOptimalityMapAndFigure10Property(t *testing.T) {
 	fr, th := fractionsAndThresholds(1<<12, 4, 2, 0)
 	// Two identical plans plus one always-worse plan: every point must
 	// have exactly 2 optimal plans.
-	m := Sweep2D([]PlanSource{
+	m, _ := run2D([]PlanSource{
 		flatPlan("p1", time.Second),
 		flatPlan("p2", time.Second),
 		flatPlan("slow", 10*time.Second),

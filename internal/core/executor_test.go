@@ -95,9 +95,9 @@ func TestNewExecutor(t *testing.T) {
 func TestSweep1DDeterministicAcrossExecutors(t *testing.T) {
 	plans := []PlanSource{synthPlan("p1", 3), synthPlan("p2", 11), synthPlan("p3", 5)}
 	fr, th := synthAxis(33)
-	serial := Sweep1DWith(SerialExecutor{}, plans, fr, th)
+	serial, _ := run1D(plans, fr, th, WithExecutor(SerialExecutor{}))
 	for _, workers := range []int{2, 4, 7} {
-		par := Sweep1DWith(ParallelExecutor{Workers: workers}, plans, fr, th)
+		par, _ := run1D(plans, fr, th, WithExecutor(ParallelExecutor{Workers: workers}))
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("1-D map differs at %d workers", workers)
 		}
@@ -111,9 +111,9 @@ func TestSweep2DDeterministicAcrossExecutors(t *testing.T) {
 	plans := []PlanSource{synthPlan("p1", 3), synthPlan("p2", 11)}
 	frA, thA := synthAxis(9)
 	frB, thB := synthAxis(13)
-	serial := Sweep2DWith(SerialExecutor{}, plans, frA, frB, thA, thB)
+	serial, _ := run2D(plans, frA, frB, thA, thB, WithExecutor(SerialExecutor{}))
 	for _, workers := range []int{2, 4, 7} {
-		par := Sweep2DWith(ParallelExecutor{Workers: workers}, plans, frA, frB, thA, thB)
+		par, _ := run2D(plans, frA, frB, thA, thB, WithExecutor(ParallelExecutor{Workers: workers}))
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("2-D map differs at %d workers", workers)
 		}
@@ -140,7 +140,7 @@ func TestSweepRowMismatchPanicParity(t *testing.T) {
 	fr, th := synthAxis(8)
 	capture := func(ex SweepExecutor) (msg string) {
 		defer func() { msg, _ = recover().(string) }()
-		Sweep1DWith(ex, []PlanSource{good, bad}, fr, th)
+		run1D([]PlanSource{good, bad}, fr, th, WithExecutor(ex))
 		return ""
 	}
 	serialMsg := capture(SerialExecutor{})

@@ -58,61 +58,6 @@ type Map1D struct {
 	Rows []int64
 }
 
-// Sweep1D measures every plan at every threshold, serially. Plans must
-// agree on result sizes at each point — a disagreement means a broken
-// plan, and panics rather than producing a silently wrong map.
-//
-// Deprecated: build the request with NewSweep(plans, Grid1D(fractions,
-// thresholds)) and Run it; this shim remains for compatibility.
-func Sweep1D(plans []PlanSource, fractions []float64, thresholds []int64) *Map1D {
-	return mustRun(NewSweep(plans, Grid1D(fractions, thresholds))).Map1D
-}
-
-// Sweep1DWith measures every plan at every threshold on the given
-// executor. The map's contents are identical for every executor: results
-// land in preallocated (plan, point) slots, and the row-count cross-check
-// runs in a fixed order after all cells complete, so the panic (if any)
-// names the same first offender the serial sweep names.
-//
-// Deprecated: use NewSweep with Grid1D and WithExecutor.
-func Sweep1DWith(ex SweepExecutor, plans []PlanSource, fractions []float64,
-	thresholds []int64) *Map1D {
-	return mustRun(NewSweep(plans, Grid1D(fractions, thresholds), WithExecutor(ex))).Map1D
-}
-
-// sweep1D is the exhaustive 1-D sweep under a context; see Sweep1DWith
-// for the determinism contract. Grid lengths are validated by NewSweep.
-func sweep1D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
-	fractions []float64, thresholds []int64) *Map1D {
-	points := len(thresholds)
-	m := &Map1D{
-		Fractions:  fractions,
-		Thresholds: thresholds,
-		Rows:       make([]int64, points),
-		Plans:      make([]string, len(plans)),
-		Times:      make([][]time.Duration, len(plans)),
-	}
-	rows := make([][]int64, len(plans))
-	for pi, p := range plans {
-		m.Plans[pi] = p.ID
-		m.Times[pi] = make([]time.Duration, points)
-		rows[pi] = make([]int64, points)
-	}
-	executeCells(ctx, ex, len(plans)*points, func(cell int) {
-		pi, i := cellSplit(cell, points)
-		res := plans[pi].Measure(thresholds[i], -1)
-		m.Times[pi][i] = res.Time
-		rows[pi][i] = res.Rows
-	})
-	if len(plans) > 0 {
-		copy(m.Rows, rows[0])
-	}
-	crossCheckRows(plans, points,
-		func(pi, i int) int64 { return rows[pi][i] },
-		func(i int) string { return fmt.Sprintf("point %d", i) })
-	return m
-}
-
 // Series returns the time series for the named plan.
 func (m *Map1D) Series(planID string) []time.Duration {
 	for i, p := range m.Plans {
@@ -163,28 +108,16 @@ type Map2D struct {
 	Rows [][]int64
 }
 
-// Sweep2D measures every plan over the grid, serially. As in Sweep1D,
-// row-count disagreement across plans panics.
-//
-// Deprecated: build the request with NewSweep(plans, Grid2D(fracA, fracB,
-// ta, tb)) and Run it; this shim remains for compatibility.
-func Sweep2D(plans []PlanSource, fracA, fracB []float64, ta, tb []int64) *Map2D {
-	return mustRun(NewSweep(plans, Grid2D(fracA, fracB, ta, tb))).Map2D
-}
-
-// Sweep2DWith measures every plan over the grid on the given executor.
-// Cells are (plan, grid point) pairs; see Sweep1DWith for the determinism
-// contract.
-//
-// Deprecated: use NewSweep with Grid2D and WithExecutor.
-func Sweep2DWith(ex SweepExecutor, plans []PlanSource, fracA, fracB []float64,
-	ta, tb []int64) *Map2D {
-	return mustRun(NewSweep(plans, Grid2D(fracA, fracB, ta, tb), WithExecutor(ex))).Map2D
-}
-
-// sweep2D is the exhaustive 2-D sweep under a context; see Sweep2DWith.
-func sweep2D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
-	fracA, fracB []float64, ta, tb []int64) *Map2D {
+// sweep2D is the exhaustive sweep of g under a context: every plan is
+// measured at every grid point on the given executor. Plans must agree on
+// result sizes at each point — a disagreement means a broken plan, and
+// panics rather than producing a silently wrong map. The map's contents
+// are identical for every executor: results land in preallocated
+// (plan, point) slots, and the row-count cross-check runs in a fixed order
+// after all cells complete, so the panic (if any) names the same first
+// offender the serial sweep names.
+func sweep2D(ctx context.Context, ex SweepExecutor, plans []PlanSource, g grid) *Map2D {
+	fracA, fracB, ta, tb := g.fracA, g.fracB, g.ta, g.tb
 	points := len(ta) * len(tb)
 	m := &Map2D{
 		FracA: fracA, FracB: fracB, TA: ta, TB: tb,
@@ -221,7 +154,7 @@ func sweep2D(ctx context.Context, ex SweepExecutor, plans []PlanSource,
 	}
 	crossCheckRows(plans, points,
 		func(pi, pt int) int64 { return rows[pi][pt] },
-		func(pt int) string { return fmt.Sprintf("(%d,%d)", pt/len(tb), pt%len(tb)) })
+		func(pt int) string { return g.label(pt/len(tb), pt%len(tb)) })
 	return m
 }
 

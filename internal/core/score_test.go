@@ -8,11 +8,12 @@ import (
 func scoreTestMap() *Map2D {
 	fr := []float64{0.25, 0.5, 1}
 	th := []int64{256, 512, 1024}
-	return Sweep2D([]PlanSource{
+	m, _ := run2D([]PlanSource{
 		flatPlan("steady", 2*time.Second),                          // never best, never awful
 		linearPlan("spiky", time.Millisecond, 10*time.Millisecond), // great small, terrible large
 		flatPlan("awful", 60*time.Second),                          // always the worst
 	}, fr, fr, th, th)
+	return m
 }
 
 func TestScoreboardOrdersByRobustness(t *testing.T) {

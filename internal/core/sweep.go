@@ -3,18 +3,18 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The unified sweep request API.
+// The sweep request API.
 //
-// Sweeps used to be requested through eight positional entry points
-// (Sweep{1,2}D, Sweep{1,2}DWith, AdaptiveSweep{1,2}D[With]); every new
-// orthogonal concern — executor choice, caching, adaptivity — doubled the
-// surface. A Sweep is instead built once from functional options, in the
-// style of OPA's rego.New(rego.Query(...), ...):
+// A sweep has several orthogonal concerns — grid shape, executor choice,
+// caching, adaptivity — and a positional entry point per combination
+// doubles the surface with each one. A Sweep is instead built once from
+// functional options, in the style of OPA's rego.New(rego.Query(...), ...):
 //
 //	sw := core.NewSweep(plans,
 //	    core.Grid2D(fracA, fracB, ta, tb),
@@ -24,8 +24,8 @@ import (
 //	res, err := sw.Run(ctx)
 //
 // and run under a context: cancelling the context makes Run return
-// ctx.Err() promptly with no partial map and no leaked goroutines. The
-// legacy entry points remain as thin shims over this type.
+// ctx.Err() promptly with no partial map and no leaked goroutines. Run is
+// the only way to sweep.
 
 // Progress is a snapshot of a running sweep, delivered to a ProgressFunc.
 type Progress struct {
@@ -65,9 +65,7 @@ type Sweep struct {
 	plans []PlanSource
 	err   error // first configuration error; reported by Run
 
-	dims         int // 0 = no grid yet, 1 or 2
-	fracA, fracB []float64
-	ta, tb       []int64
+	grid
 
 	ex               SweepExecutor
 	cache            *MeasureCache
@@ -76,6 +74,27 @@ type Sweep struct {
 	tol              *Tolerance
 	progress         ProgressFunc
 	progressInterval time.Duration
+}
+
+// grid is the lattice a sweep measures. The paper draws one kind of
+// diagram at two dimensionalities, and "no second predicate" is a value,
+// not a type (MeasureFunc receives tb = -1): a 1-D grid is the 2-D lattice
+// with the B axis collapsed to that one point, so one exhaustive sweep and
+// one refiner serve both. dims only selects the result's wire type, how
+// cross-check panics name a point, and whether the refiner may treat a
+// one-point B axis as collapsed rather than too small to subsample.
+type grid struct {
+	dims         int // 0 = no grid yet, 1 or 2
+	fracA, fracB []float64
+	ta, tb       []int64
+}
+
+// label names grid point (i, j) in cross-check panics.
+func (g grid) label(i, j int) string {
+	if g.dims == 1 {
+		return fmt.Sprintf("point %d", i)
+	}
+	return fmt.Sprintf("(%d,%d)", i, j)
 }
 
 // SweepOption configures a Sweep. Options are applied in order; later
@@ -112,9 +131,8 @@ func Grid1D(fractions []float64, thresholds []int64) SweepOption {
 			s.fail("core: fractions and thresholds length mismatch")
 			return
 		}
-		s.dims = 1
-		s.fracA, s.ta = fractions, thresholds
-		s.fracB, s.tb = nil, nil
+		s.grid = grid{dims: 1, fracA: fractions, ta: thresholds,
+			fracB: []float64{1}, tb: []int64{-1}}
 	}
 }
 
@@ -126,9 +144,7 @@ func Grid2D(fracA, fracB []float64, ta, tb []int64) SweepOption {
 			s.fail("core: fractions and thresholds length mismatch")
 			return
 		}
-		s.dims = 2
-		s.fracA, s.ta = fracA, ta
-		s.fracB, s.tb = fracB, tb
+		s.grid = grid{dims: 2, fracA: fracA, fracB: fracB, ta: ta, tb: tb}
 	}
 }
 
@@ -262,9 +278,8 @@ func (pm *progressMeter) finish(p Progress) {
 // cancelled, Run returns ctx.Err() promptly — in-flight cells finish,
 // queued cells are abandoned, no partial map is returned, and no
 // goroutines are leaked. Configuration errors recorded by NewSweep are
-// returned verbatim. As in the legacy entry points, a row-count
-// disagreement between plans panics: that is a broken plan, not a
-// runtime condition.
+// returned verbatim. A row-count disagreement between plans panics: that
+// is a broken plan, not a runtime condition.
 func (s *Sweep) Run(ctx context.Context) (res *SweepResult, err error) {
 	if s.err != nil {
 		return nil, s.err
@@ -284,14 +299,10 @@ func (s *Sweep) Run(ctx context.Context) (res *SweepResult, err error) {
 		}
 		sources = wrapped
 	}
-	points := len(s.ta)
-	if s.dims == 2 {
-		points = len(s.ta) * len(s.tb)
-	}
 	var pm *progressMeter
 	if s.progress != nil {
 		pm = &progressMeter{fn: s.progress, interval: s.progressInterval,
-			total: len(sources) * points}
+			total: len(sources) * len(s.ta) * len(s.tb)}
 		wrapped := make([]PlanSource, len(sources))
 		for i, src := range sources {
 			wrapped[i] = pm.wrap(src)
@@ -307,17 +318,15 @@ func (s *Sweep) Run(ctx context.Context) (res *SweepResult, err error) {
 			panic(r)
 		}
 	}()
-	cfg := s.adaptiveConfig()
 	res = &SweepResult{}
-	switch {
-	case s.dims == 1 && cfg == nil:
-		res.Map1D = sweep1D(ctx, ex, sources, s.fracA, s.ta)
-	case s.dims == 1:
-		res.Map1D, res.Mesh1D = adaptiveSweep1D(ctx, ex, sources, s.fracA, s.ta, *cfg)
-	case cfg == nil:
-		res.Map2D = sweep2D(ctx, ex, sources, s.fracA, s.fracB, s.ta, s.tb)
-	default:
-		res.Map2D, res.Mesh2D = adaptiveSweep2D(ctx, ex, sources, s.fracA, s.fracB, s.ta, s.tb, *cfg)
+	if cfg := s.adaptiveConfig(); cfg != nil {
+		res.Map2D, res.Mesh2D = adaptiveSweep2D(ctx, ex, sources, s.grid, *cfg)
+	} else {
+		res.Map2D = sweep2D(ctx, ex, sources, s.grid)
+	}
+	if s.dims == 1 {
+		m, me := project1D(res.Map2D, res.Mesh2D)
+		res = &SweepResult{Map1D: m, Mesh1D: me}
 	}
 	if pm != nil {
 		pm.finish(s.finalProgress(pm, res))
@@ -378,16 +387,4 @@ func (s *Sweep) Run2D(ctx context.Context) (*Map2D, *Mesh2D, error) {
 		return nil, nil, err
 	}
 	return res.Map2D, res.Mesh2D, nil
-}
-
-// mustRun backs the legacy entry points: they predate the error return
-// and panicked on bad configuration, so configuration errors surface as
-// panics with the historical message. Under context.Background() no
-// cancellation error can occur.
-func mustRun(s *Sweep) *SweepResult {
-	res, err := s.Run(context.Background())
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
 }

@@ -2,59 +2,12 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestNewSweepMatchesLegacyEntryPoints pins that the options API and the
-// eight legacy entry points produce byte-identical maps — the legacy
-// functions are shims, but the equivalence is the public contract.
-func TestNewSweepMatchesLegacyEntryPoints(t *testing.T) {
-	plans := []PlanSource{synthPlan("p1", 3), synthPlan("p2", 11), synthPlan("p3", 5)}
-	fr, th := synthAxis(17)
-
-	res, err := NewSweep(plans, Grid1D(fr, th)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Map1D, Sweep1D(plans, fr, th)) {
-		t.Error("options 1-D map differs from Sweep1D")
-	}
-	if res.Map2D != nil || res.Mesh1D != nil || res.Mesh2D != nil {
-		t.Error("exhaustive 1-D sweep set unexpected result fields")
-	}
-
-	res, err = NewSweep(plans, Grid2D(fr, fr, th, th), WithParallelism(4)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Map2D, Sweep2DWith(ParallelExecutor{Workers: 4}, plans, fr, fr, th, th)) {
-		t.Error("options 2-D map differs from Sweep2DWith")
-	}
-
-	cfg := DefaultAdaptiveConfig()
-	am, amesh := AdaptiveSweep2DWith(SerialExecutor{}, plans, fr, fr, th, th, cfg)
-	m2, mesh2, err := NewSweep(plans, Grid2D(fr, fr, th, th), WithAdaptive(cfg)).Run2D(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m2, am) || !reflect.DeepEqual(mesh2, amesh) {
-		t.Error("options adaptive 2-D sweep differs from AdaptiveSweep2DWith")
-	}
-
-	am1, amesh1 := AdaptiveSweep1D(plans, fr, th)
-	m1, mesh1, err := NewSweep(plans, Grid1D(fr, th), WithAdaptive(DefaultAdaptiveConfig())).Run1D(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, am1) || !reflect.DeepEqual(mesh1, amesh1) {
-		t.Error("options adaptive 1-D sweep differs from AdaptiveSweep1D")
-	}
-}
 
 func TestNewSweepConfigurationErrors(t *testing.T) {
 	plans := []PlanSource{synthPlan("p", 1)}
@@ -82,27 +35,22 @@ func TestNewSweepConfigurationErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyShimPanicMessage pins that the legacy entry points still panic
-// with the historical message on a malformed grid.
-func TestLegacyShimPanicMessage(t *testing.T) {
-	defer func() {
-		if r, _ := recover().(string); r != "core: fractions and thresholds length mismatch" {
-			t.Fatalf("legacy panic = %v", r)
-		}
-	}()
-	fr, th := synthAxis(4)
-	Sweep1D([]PlanSource{synthPlan("p", 1)}, fr, th[:2])
-}
-
 // cancellingPlan cancels the context from inside the Nth measurement and
-// counts calls.
+// counts calls. Measurements racing with the cancellation wait for it to
+// land before returning, so how many cells run past N depends only on how
+// many workers had already claimed one — not on how long cancel() takes.
 func cancellingPlan(id string, cancel context.CancelFunc, after int64) (PlanSource, *atomic.Int64) {
 	var calls atomic.Int64
+	cancelled := make(chan struct{})
 	return PlanSource{
 		ID: id,
 		Measure: func(ta, tb int64) Measurement {
-			if calls.Add(1) == after {
+			switch n := calls.Add(1); {
+			case n == after:
 				cancel()
+				close(cancelled)
+			case n > after:
+				<-cancelled
 			}
 			if tb < 0 {
 				tb = 1

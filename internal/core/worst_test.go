@@ -9,11 +9,12 @@ import (
 func worstTestMap() *Map2D {
 	fr := []float64{0.25, 0.5, 1}
 	th := []int64{256, 512, 1024}
-	return Sweep2D([]PlanSource{
+	m, _ := run2D([]PlanSource{
 		flatPlan("fast", time.Second),
 		flatPlan("slow", 10*time.Second),
 		linearPlan("mid", time.Second, 3*time.Millisecond),
 	}, fr, fr, th, th)
+	return m
 }
 
 func TestWorstGrid(t *testing.T) {

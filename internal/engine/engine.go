@@ -176,18 +176,15 @@ type System struct {
 	cfg  Config
 
 	disk      *storage.Disk
-	schema    *record.Schema
-	tableName string
-	heapFile  storage.FileID
-	heapRows  int64
 	versioned bool
 	indexes   map[string]indexMeta
 	snapHigh  mvcc.TxnID
 
-	// tables is set for multi-table builds (nil on the legacy
-	// single-table path); colData retains every generated int64 column
-	// (table -> column -> values in insertion order) for result-size
-	// oracles over join queries.
+	// tables lists the loaded tables in declaration order; a
+	// single-table build is a catalog of one. colData retains every
+	// generated int64 column of a multi-table build (table -> column ->
+	// values in insertion order) for result-size oracles over join
+	// queries.
 	tables  []tableMeta
 	colData map[string]map[string][]int64
 
@@ -205,13 +202,13 @@ type System struct {
 
 type indexMeta struct {
 	name     string
-	table    string // owning table of a multi-table build; "" = legacy single table
+	table    string // owning table
 	columns  []string
 	covering bool
 	meta     btree.Meta
 }
 
-// tableMeta is one loaded table of a multi-table build.
+// tableMeta is one loaded table.
 type tableMeta struct {
 	name     string
 	schema   *record.Schema
@@ -230,37 +227,115 @@ type Result struct {
 	Pool     storage.PoolStats
 }
 
-// BuildSystem loads the dataset and indexes for one system configuration.
-// Loading happens on a throwaway clock; only Run costs are measured.
-func BuildSystem(name string, cfg Config) (*System, error) {
-	if len(cfg.Tables) > 0 {
-		return buildMulti(name, cfg)
-	}
-	if cfg.Rows <= 0 {
-		return nil, fmt.Errorf("engine: Rows = %d", cfg.Rows)
-	}
-	if err := cfg.IO.Validate(); err != nil {
-		return nil, err
-	}
-	disk := storage.NewDisk()
-	loadClock := simclock.New()
-	dev := iomodel.NewDevice(cfg.IO, loadClock)
-	// A large pool for loading keeps load-time Go overhead low; run-time
-	// pools are sized by cfg.PoolPages.
-	pool := storage.NewPool(disk, dev, loadClock, 4096)
+// tableLoad is one table of a build, normalised from either Config form
+// (the single lineitem-like table, or one entry of Config.Tables), so one
+// loop loads both.
+type tableLoad struct {
+	name     string
+	schema   *record.Schema
+	generate func(fn func(row []record.Value) error) error
+	// capture retains, per generated row, what the system's result-size
+	// oracles read off the cost model's books.
+	capture func(row []record.Value)
+}
 
+// singleTable normalises a single-table Config: the fixed lineitem-like
+// schema under the configured name, its indexes from the Indexes
+// shorthand or IndexDefs, and the (a, b) pairs captured for ResultSize.
+func (s *System) singleTable(cfg Config) ([]tableLoad, []IndexDef, error) {
+	if cfg.Rows <= 0 {
+		return nil, nil, fmt.Errorf("engine: Rows = %d", cfg.Rows)
+	}
 	defs, err := cfg.indexDefs()
 	if err != nil {
+		return nil, nil, err
+	}
+	schema := datagen.Schema()
+	ordA, ordB := schema.MustOrdinal("a"), schema.MustOrdinal("b")
+	s.abPairs = make([][2]int64, 0, cfg.Rows)
+	spec := datagen.Spec{Rows: cfg.Rows, Seed: cfg.Seed, PayloadBytes: cfg.PayloadBytes,
+		ZipfA: cfg.ZipfA, ZipfB: cfg.ZipfB}
+	return []tableLoad{{
+		name:     cfg.tableName(),
+		schema:   schema,
+		generate: func(fn func([]record.Value) error) error { return datagen.Generate(spec, fn) },
+		capture: func(row []record.Value) {
+			s.abPairs = append(s.abPairs, [2]int64{row[ordA].AsInt(), row[ordB].AsInt()})
+		},
+	}}, defs, nil
+}
+
+// BuildSystem loads the dataset and indexes for one system configuration:
+// one heap per table in declaration order, then every index in definition
+// order — so file layout, and therefore every measured time, is a pure
+// function of the config. Loading happens on a throwaway clock; only Run
+// costs are measured.
+func BuildSystem(name string, cfg Config) (*System, error) {
+	if err := cfg.IO.Validate(); err != nil {
 		return nil, err
 	}
 	sys := &System{
 		Name:      name,
 		cfg:       cfg,
-		disk:      disk,
-		schema:    datagen.Schema(),
-		tableName: cfg.tableName(),
+		disk:      storage.NewDisk(),
+		versioned: cfg.Versioned,
 		indexes:   make(map[string]indexMeta),
 	}
+	normalise := sys.singleTable
+	if len(cfg.Tables) > 0 {
+		normalise = sys.multiTable
+	}
+	loads, defs, err := normalise(cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	loadClock := simclock.New()
+	dev := iomodel.NewDevice(cfg.IO, loadClock)
+	// A large pool for loading keeps load-time Go overhead low; run-time
+	// pools are sized by cfg.PoolPages.
+	pool := storage.NewPool(sys.disk, dev, loadClock, 4096)
+
+	var txn mvcc.TxnID
+	if cfg.Versioned {
+		txn = mvcc.NewManager().Begin()
+		sys.snapHigh = txn
+	}
+
+	byName := map[string]*catalog.Table{}
+	for _, tl := range loads {
+		heap := storage.CreateHeap(pool)
+		tbl := &catalog.Table{Name: tl.name, Schema: tl.schema, Heap: heap}
+		var store *mvcc.Store
+		if cfg.Versioned {
+			store = mvcc.NewStore(heap)
+			tbl.Versioned = store
+		}
+		var encodeBuf []byte
+		err := tl.generate(func(row []record.Value) error {
+			tl.capture(row)
+			encodeBuf = encodeBuf[:0]
+			var err error
+			encodeBuf, err = tl.schema.Encode(encodeBuf, row)
+			if err != nil {
+				return err
+			}
+			if store != nil {
+				store.Insert(txn, encodeBuf)
+			} else {
+				heap.Append(encodeBuf)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		sys.tables = append(sys.tables, tableMeta{
+			name: tl.name, schema: tl.schema, heapFile: heap.File(), rows: heap.NumRows(),
+		})
+		byName[tl.name] = tbl
+	}
+	loader := catalog.Loader(pool, loadClock)
 	for _, def := range defs {
 		if def.Name == "" {
 			return nil, fmt.Errorf("engine: index definition with no name")
@@ -268,63 +343,26 @@ func BuildSystem(name string, cfg Config) (*System, error) {
 		if len(def.Columns) == 0 {
 			return nil, fmt.Errorf("engine: index %q has no columns", def.Name)
 		}
+		tname := def.Table
+		if tname == "" {
+			tname = loads[0].name
+		}
+		tbl := byName[tname]
+		if tbl == nil {
+			return nil, fmt.Errorf("engine: index %q references unknown table %q", def.Name, def.Table)
+		}
 		for _, col := range def.Columns {
-			if sys.schema.Ordinal(col) < 0 {
-				return nil, fmt.Errorf("engine: index %q references unknown column %q", def.Name, col)
+			if tbl.Schema.Ordinal(col) < 0 {
+				return nil, fmt.Errorf("engine: index %q references unknown column %q of table %q", def.Name, col, tname)
 			}
 		}
-	}
-
-	heap := storage.CreateHeap(pool)
-	tbl := &catalog.Table{Name: sys.tableName, Schema: sys.schema, Heap: heap}
-
-	var store *mvcc.Store
-	var txn mvcc.TxnID
-	if cfg.Versioned {
-		store = mvcc.NewStore(heap)
-		mgr := mvcc.NewManager()
-		txn = mgr.Begin()
-		tbl.Versioned = store
-		sys.versioned = true
-		sys.snapHigh = txn
-	}
-
-	spec := datagen.Spec{Rows: cfg.Rows, Seed: cfg.Seed, PayloadBytes: cfg.PayloadBytes,
-		ZipfA: cfg.ZipfA, ZipfB: cfg.ZipfB}
-	ordA := sys.schema.MustOrdinal("a")
-	ordB := sys.schema.MustOrdinal("b")
-	sys.abPairs = make([][2]int64, 0, cfg.Rows)
-	var encodeBuf []byte
-	err = datagen.Generate(spec, func(row []record.Value) error {
-		sys.abPairs = append(sys.abPairs, [2]int64{row[ordA].AsInt(), row[ordB].AsInt()})
-		encodeBuf = encodeBuf[:0]
-		var err error
-		encodeBuf, err = sys.schema.Encode(encodeBuf, row)
-		if err != nil {
-			return err
-		}
-		if store != nil {
-			store.Insert(txn, encodeBuf)
-		} else {
-			heap.Append(encodeBuf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys.heapFile = heap.File()
-	sys.heapRows = heap.NumRows()
-
-	loader := catalog.Loader(pool, loadClock)
-	for _, def := range defs {
 		covering := !cfg.Versioned // MVCC on base rows only: never covering
 		ix, err := catalog.BuildIndex(def.Name, tbl, loader, covering, def.Columns...)
 		if err != nil {
 			return nil, err
 		}
 		sys.indexes[def.Name] = indexMeta{
-			name: def.Name, columns: def.Columns, covering: covering, meta: btree.MetaOf(ix.Tree),
+			name: def.Name, table: tname, columns: def.Columns, covering: covering, meta: btree.MetaOf(ix.Tree),
 		}
 	}
 	pool.FlushAll()
@@ -356,37 +394,31 @@ func SystemC(cfg Config) (*System, error) {
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Rows returns the table cardinality.
-func (s *System) Rows() int64 { return s.heapRows }
+// Rows returns the cardinality of the first table — the axis table,
+// whose cardinality scales the sweep thresholds.
+func (s *System) Rows() int64 { return s.tables[0].rows }
+
+// openTable rewires one loaded table to the given pool.
+func (s *System) openTable(tm tableMeta, pool *storage.Pool) *catalog.Table {
+	heap := storage.OpenHeap(pool, tm.heapFile, tm.rows)
+	tbl := &catalog.Table{Name: tm.name, Schema: tm.schema, Heap: heap}
+	if s.versioned {
+		tbl.Versioned = mvcc.NewStore(heap)
+	}
+	return tbl
+}
 
 // openCatalog rewires the persistent disk objects to a fresh pool/clock.
 func (s *System) openCatalog(pool *storage.Pool, clock *simclock.Clock) *catalog.Catalog {
 	c := catalog.New()
 	byName := map[string]*catalog.Table{}
-	if len(s.tables) > 0 {
-		for _, tm := range s.tables {
-			heap := storage.OpenHeap(pool, tm.heapFile, tm.rows)
-			tbl := &catalog.Table{Name: tm.name, Schema: tm.schema, Heap: heap}
-			if s.versioned {
-				tbl.Versioned = mvcc.NewStore(heap)
-			}
-			c.AddTable(tbl)
-			byName[tm.name] = tbl
-		}
-	} else {
-		heap := storage.OpenHeap(pool, s.heapFile, s.heapRows)
-		tbl := &catalog.Table{Name: s.tableName, Schema: s.schema, Heap: heap}
-		if s.versioned {
-			tbl.Versioned = mvcc.NewStore(heap)
-		}
+	for _, tm := range s.tables {
+		tbl := s.openTable(tm, pool)
 		c.AddTable(tbl)
-		byName[s.tableName] = tbl
+		byName[tm.name] = tbl
 	}
 	for _, im := range s.indexes {
-		tbl := byName[s.tableName]
-		if im.table != "" {
-			tbl = byName[im.table]
-		}
+		tbl := byName[im.table]
 		ords := make([]int, len(im.columns))
 		for i, col := range im.columns {
 			ords[i] = tbl.Schema.MustOrdinal(col)
@@ -419,7 +451,7 @@ func (s *System) Disk() *storage.Disk { return s.disk }
 // are touched. Adaptive sweeps use it to fill the Rows grid of cells
 // they skip, and as an extra cross-check at cells they measure.
 func (s *System) ResultSize(q plan.Query) int64 {
-	if len(s.tables) > 0 {
+	if s.Multi() {
 		// A multi-table system has no single-table (a, b) oracle; join
 		// result sizes are computed from ColumnData by whoever knows the
 		// query semantics (internal/service).
@@ -438,17 +470,12 @@ func (s *System) ResultSize(q plan.Query) int64 {
 // per-worker view of the parallel experiment. The clock used for index
 // access is the pool's own; this accessor exposes the heap only.
 func (s *System) OpenTable(pool *storage.Pool) *catalog.Table {
-	heap := storage.OpenHeap(pool, s.heapFile, s.heapRows)
-	tbl := &catalog.Table{Name: s.tableName, Schema: s.schema, Heap: heap}
-	if s.versioned {
-		tbl.Versioned = mvcc.NewStore(heap)
-	}
-	return tbl
+	return s.openTable(s.tables[0], pool)
 }
 
 // Multi reports whether the system was built from a multi-table
 // catalog.
-func (s *System) Multi() bool { return len(s.tables) > 0 }
+func (s *System) Multi() bool { return len(s.cfg.Tables) > 0 }
 
 // ColumnData returns one generated int64 column of a multi-table
 // system in insertion order (the id, a, b, and foreign-key columns are
@@ -461,8 +488,8 @@ func (s *System) ColumnData(table, column string) []int64 {
 	return s.colData[table][column]
 }
 
-// TableRows returns a multi-table system's cardinality for one table,
-// or -1 if unknown.
+// TableRows returns the system's cardinality for one table, or -1 if
+// unknown.
 func (s *System) TableRows(table string) int64 {
 	for _, tm := range s.tables {
 		if tm.name == table {

@@ -16,6 +16,12 @@ func testConfig() Config {
 	return cfg
 }
 
+// paperPlan looks one of the paper's plans up by id, across the 13-plan
+// study and the Figure 1/2 extras.
+func paperPlan(id string) plan.Plan {
+	return plan.ByID(append(plan.AllPlans(), plan.Figure2Plans()...), id)
+}
+
 // sysA/B/C cache built systems across tests: builds are deterministic and
 // read-only at run time.
 var (
@@ -77,7 +83,7 @@ func TestAllPlansAgreeOnRowCounts(t *testing.T) {
 		{TA: n, TB: n},
 	}
 	for _, q := range queries {
-		want := a.Run(plan.PlanA1TableScan(), q).Rows
+		want := a.Run(paperPlan("A1"), q).Rows
 		for _, p := range plan.SystemAPlans() {
 			if got := a.Run(p, q).Rows; got != want {
 				t.Errorf("%s at %v: %d rows, want %d", p.ID, q, got, want)
@@ -113,9 +119,9 @@ func TestSingleQueryFigure1Shapes(t *testing.T) {
 	// The qualitative contract of Figure 1 at test scale.
 	a := getA(t)
 	n := a.Rows()
-	scan := plan.PlanA1TableScan()
-	trad := plan.PlanFig1Traditional()
-	impr := plan.PlanA2IdxAImproved()
+	scan := paperPlan("A1")
+	trad := paperPlan("F1-trad")
+	impr := paperPlan("A2")
 
 	cost := func(p plan.Plan, ta int64) float64 {
 		return float64(a.Run(p, plan.Query{TA: ta, TB: -1}).Time)
@@ -157,8 +163,8 @@ func TestTraditionalCrossoverFraction(t *testing.T) {
 	// of octaves of that fraction.
 	a := getA(t)
 	n := a.Rows()
-	scanCost := float64(a.Run(plan.PlanA1TableScan(), plan.Query{TA: n, TB: -1}).Time)
-	trad := plan.PlanFig1Traditional()
+	scanCost := float64(a.Run(paperPlan("A1"), plan.Query{TA: n, TB: -1}).Time)
+	trad := paperPlan("F1-trad")
 	crossed := -1
 	for k := 13; k >= 4; k-- {
 		ta := n >> uint(k)
@@ -204,10 +210,10 @@ func TestSystemBRobustnessProperties(t *testing.T) {
 		return w
 	}
 	worstA2 := worst(func(q plan.Query) float64 {
-		return float64(a.Run(plan.PlanA2IdxAImproved(), q).Time)
+		return float64(a.Run(paperPlan("A2"), q).Time)
 	})
 	worstB1 := worst(func(q plan.Query) float64 {
-		return float64(b.Run(plan.PlanB1IdxABBitmap(), q).Time)
+		return float64(b.Run(paperPlan("B1"), q).Time)
 	})
 	if worstB1 >= worstA2 {
 		t.Errorf("B1 worst factor %.1f not better than A2 worst factor %.1f", worstB1, worstA2)
@@ -230,8 +236,8 @@ func TestSystemCMDAMReasonableEverywhere(t *testing.T) {
 					best = cst
 				}
 			}
-			c1 := float64(c.Run(plan.PlanC1MDAMAB(), q).Time)
-			c2 := float64(c.Run(plan.PlanC2MDAMBA(), q).Time)
+			c1 := float64(c.Run(paperPlan("C1"), q).Time)
+			c2 := float64(c.Run(paperPlan("C2"), q).Time)
 			m := c1
 			if c2 < m {
 				m = c2
@@ -248,7 +254,7 @@ func TestSystemCMDAMReasonableEverywhere(t *testing.T) {
 
 func TestResultAccountsPopulated(t *testing.T) {
 	a := getA(t)
-	r := a.Run(plan.PlanA1TableScan(), plan.Query{TA: 100, TB: 100})
+	r := a.Run(paperPlan("A1"), plan.Query{TA: 100, TB: 100})
 	if r.Time <= 0 {
 		t.Error("zero execution time")
 	}
@@ -285,14 +291,14 @@ func TestSkewedBuildChangesSelectedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := plan.Query{TA: cfg.Rows / 256, TB: -1}
-	skewRows := sys.Run(plan.PlanA1TableScan(), q).Rows
-	uniformRows := getA(t).Run(plan.PlanA1TableScan(), q).Rows
+	skewRows := sys.Run(paperPlan("A1"), q).Rows
+	uniformRows := getA(t).Run(paperPlan("A1"), q).Rows
 	if skewRows <= uniformRows {
 		t.Errorf("zipf head skew selected %d rows, uniform %d: expected many more under skew",
 			skewRows, uniformRows)
 	}
 	// Index and scan still agree under skew.
-	if ixRows := sys.Run(plan.PlanA2IdxAImproved(), q).Rows; ixRows != skewRows {
+	if ixRows := sys.Run(paperPlan("A2"), q).Rows; ixRows != skewRows {
 		t.Errorf("index plan selected %d rows, scan %d", ixRows, skewRows)
 	}
 }
@@ -302,7 +308,7 @@ func TestFigure2PlansAgreeOnSinglePredicateCounts(t *testing.T) {
 	n := a.Rows()
 	for _, ta := range []int64{0, 1, n / 128, n / 4} {
 		q := plan.Query{TA: ta, TB: -1}
-		want := a.Run(plan.PlanA1TableScan(), q).Rows
+		want := a.Run(paperPlan("A1"), q).Rows
 		if want != ta {
 			t.Fatalf("table scan selected %d rows for a<%d", want, ta)
 		}
@@ -318,7 +324,7 @@ func TestWarmingKeepsSmallQueriesCheap(t *testing.T) {
 	// Run warms index internals: a one-row lookup must cost at most a few
 	// random reads (leaf + heap page), not a full cold descent.
 	a := getA(t)
-	r := a.Run(plan.PlanFig1Traditional(), plan.Query{TA: 1, TB: -1})
+	r := a.Run(paperPlan("F1-trad"), plan.Query{TA: 1, TB: -1})
 	if r.Device.RandomReads > 3 {
 		t.Errorf("one-row lookup paid %d random reads, want <= 3", r.Device.RandomReads)
 	}
@@ -326,7 +332,7 @@ func TestWarmingKeepsSmallQueriesCheap(t *testing.T) {
 
 func TestResultFormat(t *testing.T) {
 	a := getA(t)
-	r := a.Run(plan.PlanA2IdxAImproved(), plan.Query{TA: 100, TB: -1})
+	r := a.Run(paperPlan("A2"), plan.Query{TA: 100, TB: -1})
 	s := r.Format()
 	for _, want := range []string{"plan A2", "rows     100", "io.", "pool", "device"} {
 		if !strings.Contains(s, want) {
@@ -356,7 +362,7 @@ func TestResultSizeOracleMatchesExecution(t *testing.T) {
 		{TA: n, TB: n},
 	}
 	for _, q := range queries {
-		want := a.Run(plan.PlanA1TableScan(), q).Rows
+		want := a.Run(paperPlan("A1"), q).Rows
 		for _, sys := range []*System{a, b, c} {
 			if got := sys.ResultSize(q); got != want {
 				t.Errorf("system %s ResultSize(%v) = %d, execution returns %d",

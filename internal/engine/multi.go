@@ -3,73 +3,41 @@ package engine
 import (
 	"fmt"
 
-	"robustmap/internal/btree"
-	"robustmap/internal/catalog"
 	"robustmap/internal/datagen"
-	"robustmap/internal/iomodel"
-	"robustmap/internal/mvcc"
 	"robustmap/internal/record"
-	"robustmap/internal/simclock"
-	"robustmap/internal/storage"
 )
 
-// buildMulti loads a multi-table catalog: one heap per table in
-// declaration order (so file layout — and therefore every measured
-// time — is a pure function of the config), then every index in
-// IndexDefs order. Each table gets the derived join schema; the
-// generated int64 columns are retained in colData for join-size
-// oracles.
-func buildMulti(name string, cfg Config) (*System, error) {
-	if err := cfg.IO.Validate(); err != nil {
-		return nil, err
-	}
+// multiTable normalises a multi-table Config: each table gets the
+// derived join schema and FK-correlated generation, and its int64
+// columns are retained in colData for join-size oracles. Indexes come
+// from IndexDefs, each bound to its table.
+func (s *System) multiTable(cfg Config) ([]tableLoad, []IndexDef, error) {
 	if len(cfg.Indexes) > 0 {
-		return nil, fmt.Errorf("engine: the Indexes shorthand does not apply to multi-table builds; use IndexDefs")
+		return nil, nil, fmt.Errorf("engine: the Indexes shorthand does not apply to multi-table builds; use IndexDefs")
 	}
 	rowsOf := map[string]int64{}
 	for _, t := range cfg.Tables {
 		if t.Name == "" {
-			return nil, fmt.Errorf("engine: multi-table build with an unnamed table")
+			return nil, nil, fmt.Errorf("engine: multi-table build with an unnamed table")
 		}
 		if _, dup := rowsOf[t.Name]; dup {
-			return nil, fmt.Errorf("engine: duplicate table %q", t.Name)
+			return nil, nil, fmt.Errorf("engine: duplicate table %q", t.Name)
 		}
 		if t.Rows <= 0 {
-			return nil, fmt.Errorf("engine: table %q Rows = %d, want > 0", t.Name, t.Rows)
+			return nil, nil, fmt.Errorf("engine: table %q Rows = %d, want > 0", t.Name, t.Rows)
 		}
 		rowsOf[t.Name] = t.Rows
 	}
 	for _, t := range cfg.Tables {
 		for _, fk := range t.ForeignKeys {
 			if _, ok := rowsOf[fk.RefTable]; !ok {
-				return nil, fmt.Errorf("engine: table %q FK %q references unknown table %q", t.Name, fk.Column, fk.RefTable)
+				return nil, nil, fmt.Errorf("engine: table %q FK %q references unknown table %q", t.Name, fk.Column, fk.RefTable)
 			}
 		}
 	}
 
-	disk := storage.NewDisk()
-	loadClock := simclock.New()
-	dev := iomodel.NewDevice(cfg.IO, loadClock)
-	pool := storage.NewPool(disk, dev, loadClock, 4096)
-
-	sys := &System{
-		Name:    name,
-		cfg:     cfg,
-		disk:    disk,
-		indexes: make(map[string]indexMeta),
-		colData: make(map[string]map[string][]int64),
-	}
-
-	var mgr *mvcc.Manager
-	var txn mvcc.TxnID
-	if cfg.Versioned {
-		mgr = mvcc.NewManager()
-		txn = mgr.Begin()
-		sys.versioned = true
-		sys.snapHigh = txn
-	}
-
-	byName := map[string]*catalog.Table{}
+	s.colData = make(map[string]map[string][]int64)
+	loads := make([]tableLoad, 0, len(cfg.Tables))
 	for _, tc := range cfg.Tables {
 		fkCols := make([]string, len(tc.ForeignKeys))
 		fks := make([]datagen.FKSpec, len(tc.ForeignKeys))
@@ -81,13 +49,6 @@ func buildMulti(name string, cfg Config) (*System, error) {
 			}
 		}
 		schema := datagen.JoinSchema(tc.Name, fkCols)
-		heap := storage.CreateHeap(pool)
-		tbl := &catalog.Table{Name: tc.Name, Schema: schema, Heap: heap}
-		var store *mvcc.Store
-		if cfg.Versioned {
-			store = mvcc.NewStore(heap)
-			tbl.Versioned = store
-		}
 
 		// Retain every int64 column: id, a, b, and the FK columns.
 		keep := schema.NumColumns() - 1
@@ -97,70 +58,20 @@ func buildMulti(name string, cfg Config) (*System, error) {
 			names[i] = schema.Column(i).Name
 			cols[names[i]] = make([]int64, 0, tc.Rows)
 		}
+		s.colData[tc.Name] = cols
 
 		spec := datagen.Spec{Rows: tc.Rows, Seed: tc.Seed, PayloadBytes: tc.PayloadBytes,
 			ZipfA: tc.ZipfA, ZipfB: tc.ZipfB}
-		var encodeBuf []byte
-		err := datagen.GenerateTable(spec, fks, func(row []record.Value) error {
-			for i := 0; i < keep; i++ {
-				cols[names[i]] = append(cols[names[i]], row[i].AsInt())
-			}
-			encodeBuf = encodeBuf[:0]
-			var err error
-			encodeBuf, err = schema.Encode(encodeBuf, row)
-			if err != nil {
-				return err
-			}
-			if store != nil {
-				store.Insert(txn, encodeBuf)
-			} else {
-				heap.Append(encodeBuf)
-			}
-			return nil
+		loads = append(loads, tableLoad{
+			name:     tc.Name,
+			schema:   schema,
+			generate: func(fn func([]record.Value) error) error { return datagen.GenerateTable(spec, fks, fn) },
+			capture: func(row []record.Value) {
+				for i, name := range names {
+					cols[name] = append(cols[name], row[i].AsInt())
+				}
+			},
 		})
-		if err != nil {
-			return nil, err
-		}
-		sys.tables = append(sys.tables, tableMeta{
-			name: tc.Name, schema: schema, heapFile: heap.File(), rows: heap.NumRows(),
-		})
-		sys.colData[tc.Name] = cols
-		byName[tc.Name] = tbl
 	}
-	// Rows() reports the first table — the axis table whose cardinality
-	// scales the sweep thresholds.
-	sys.heapRows = sys.tables[0].rows
-
-	loader := catalog.Loader(pool, loadClock)
-	for _, def := range cfg.IndexDefs {
-		if def.Name == "" {
-			return nil, fmt.Errorf("engine: index definition with no name")
-		}
-		if len(def.Columns) == 0 {
-			return nil, fmt.Errorf("engine: index %q has no columns", def.Name)
-		}
-		tname := def.Table
-		if tname == "" {
-			tname = cfg.Tables[0].Name
-		}
-		tbl := byName[tname]
-		if tbl == nil {
-			return nil, fmt.Errorf("engine: index %q references unknown table %q", def.Name, def.Table)
-		}
-		for _, col := range def.Columns {
-			if tbl.Schema.Ordinal(col) < 0 {
-				return nil, fmt.Errorf("engine: index %q references unknown column %q of table %q", def.Name, col, tname)
-			}
-		}
-		covering := !cfg.Versioned
-		ix, err := catalog.BuildIndex(def.Name, tbl, loader, covering, def.Columns...)
-		if err != nil {
-			return nil, err
-		}
-		sys.indexes[def.Name] = indexMeta{
-			name: def.Name, table: tname, columns: def.Columns, covering: covering, meta: btree.MetaOf(ix.Tree),
-		}
-	}
-	pool.FlushAll()
-	return sys, nil
+	return loads, cfg.IndexDefs, nil
 }

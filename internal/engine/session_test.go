@@ -20,9 +20,9 @@ func TestSessionReuseMatchesFreshRun(t *testing.T) {
 		{TA: n, TB: -1},
 	}
 	plans := []plan.Plan{
-		plan.PlanA1TableScan(),
-		plan.PlanA2IdxAImproved(),
-		plan.PlanFig1Traditional(),
+		paperPlan("A1"),
+		paperPlan("A2"),
+		paperPlan("F1-trad"),
 	}
 	se := sys.NewSession()
 	for _, p := range plans {

@@ -107,10 +107,10 @@ func TestAdaptiveStudyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveExperimentChecks runs the registered adaptive experiment
-// against the shared study and requires every acceptance check to pass.
+// TestAdaptiveExperimentChecks requires every acceptance check of the
+// registered adaptive experiment to pass on the shared study.
 func TestAdaptiveExperimentChecks(t *testing.T) {
-	art := AdaptiveSweepExperiment(study(t))
+	art := artifact(t, "adaptive")
 	if !art.Passed() {
 		t.Fatalf("adaptive experiment checks failed:\n%s", art.Summary)
 	}

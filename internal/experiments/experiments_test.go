@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,6 +18,32 @@ func study(t testing.TB) *Study {
 		smallStudy = s
 	}
 	return smallStudy
+}
+
+// allArtifacts holds the one RunAll over the shared study. The
+// per-experiment tests below assert on its artifacts by id, so every
+// experiment executes once per go test however many tests look at it.
+var (
+	allOnce      sync.Once
+	allArtifacts []*Artifacts
+)
+
+func runAll(t testing.TB) []*Artifacts {
+	s := study(t)
+	allOnce.Do(func() { allArtifacts = RunAll(s) })
+	return allArtifacts
+}
+
+// artifact returns the named experiment's artifacts from the shared run.
+func artifact(t testing.TB, id string) *Artifacts {
+	t.Helper()
+	for _, a := range runAll(t) {
+		if a.ID == id {
+			return a
+		}
+	}
+	t.Fatalf("RunAll produced no %q artifacts", id)
+	return nil
 }
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -68,7 +95,7 @@ func TestFractionLabels(t *testing.T) {
 }
 
 func TestFigure1ChecksPass(t *testing.T) {
-	a := Figure1(study(t))
+	a := artifact(t, "fig1")
 	if !a.Passed() {
 		t.Errorf("figure 1 checks failed:\n%s", a.Summary)
 	}
@@ -81,15 +108,18 @@ func TestFigure1ChecksPass(t *testing.T) {
 }
 
 func TestFigure2ChecksPass(t *testing.T) {
-	a := Figure2(study(t))
+	a := artifact(t, "fig2")
 	if !a.Passed() {
 		t.Errorf("figure 2 checks failed:\n%s", a.Summary)
 	}
 }
 
 func TestLegendFigures(t *testing.T) {
+	// The two legends render in microseconds and must work with no study
+	// at all (Definition.RunContext passes nil), so they alone run here
+	// rather than being read from the shared RunAll.
 	for _, f := range []func(*Study) *Artifacts{Figure3, Figure6} {
-		a := f(nil) // legends need no study
+		a := f(nil)
 		if !a.Passed() {
 			t.Errorf("%s checks failed:\n%s", a.ID, a.Summary)
 		}
@@ -100,9 +130,8 @@ func TestLegendFigures(t *testing.T) {
 }
 
 func TestTwoDimensionalFigures(t *testing.T) {
-	s := study(t)
-	for _, f := range []func(*Study) *Artifacts{Figure4, Figure5, Figure7, Figure8, Figure9, Figure10} {
-		a := f(s)
+	for _, id := range []string{"fig4", "fig5", "fig7", "fig8", "fig9", "fig10"} {
+		a := artifact(t, id)
 		t.Run(a.ID, func(t *testing.T) {
 			if !a.Passed() {
 				t.Errorf("checks failed:\n%s", a.Summary)
@@ -118,7 +147,7 @@ func TestTwoDimensionalFigures(t *testing.T) {
 }
 
 func TestSortSpillChecksPass(t *testing.T) {
-	a := SortSpill(study(t))
+	a := artifact(t, "sortspill")
 	if !a.Passed() {
 		t.Errorf("sortspill checks failed:\n%s", a.Summary)
 	}
@@ -128,21 +157,21 @@ func TestSortSpillChecksPass(t *testing.T) {
 }
 
 func TestJoinSweepChecksPass(t *testing.T) {
-	a := JoinSweep(study(t))
+	a := artifact(t, "joinsweep")
 	if !a.Passed() {
 		t.Errorf("joinsweep checks failed:\n%s", a.Summary)
 	}
 }
 
 func TestAggSweepChecksPass(t *testing.T) {
-	a := AggSweep(study(t))
+	a := artifact(t, "aggsweep")
 	if !a.Passed() {
 		t.Errorf("aggsweep checks failed:\n%s", a.Summary)
 	}
 }
 
 func TestRegretChecksPass(t *testing.T) {
-	a := RegretExperiment(study(t))
+	a := artifact(t, "regret")
 	if !a.Passed() {
 		t.Errorf("regret checks failed:\n%s", a.Summary)
 	}
@@ -164,7 +193,7 @@ func TestRegretChecksPass(t *testing.T) {
 }
 
 func TestWorstMapChecksPass(t *testing.T) {
-	a := WorstMap(study(t))
+	a := artifact(t, "worstmap")
 	if !a.Passed() {
 		t.Errorf("worstmap checks failed:\n%s", a.Summary)
 	}
@@ -174,7 +203,7 @@ func TestWorstMapChecksPass(t *testing.T) {
 }
 
 func TestSystemsCompareChecksPass(t *testing.T) {
-	a := SystemsCompare(study(t))
+	a := artifact(t, "systems")
 	if !a.Passed() {
 		t.Errorf("systems checks failed:\n%s", a.Summary)
 	}
@@ -186,14 +215,14 @@ func TestSystemsCompareChecksPass(t *testing.T) {
 }
 
 func TestRunAllProducesEverything(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll covered piecewise above")
-	}
-	arts := RunAll(study(t))
+	arts := runAll(t)
 	if len(arts) != len(IDs()) {
 		t.Fatalf("RunAll produced %d artifacts", len(arts))
 	}
-	for _, a := range arts {
+	for i, a := range arts {
+		if a.ID != IDs()[i] {
+			t.Errorf("artifact %d is %s, want %s (registry order)", i, a.ID, IDs()[i])
+		}
 		if a.Summary == "" {
 			t.Errorf("%s has no summary", a.ID)
 		}
@@ -201,7 +230,7 @@ func TestRunAllProducesEverything(t *testing.T) {
 }
 
 func TestParallelSweepChecksPass(t *testing.T) {
-	a := ParallelSweep(study(t))
+	a := artifact(t, "parallel")
 	if !a.Passed() {
 		t.Errorf("parallel checks failed:\n%s", a.Summary)
 	}
@@ -211,7 +240,7 @@ func TestParallelSweepChecksPass(t *testing.T) {
 }
 
 func TestRegionsChecksPass(t *testing.T) {
-	a := Regions(study(t))
+	a := artifact(t, "regions")
 	if !a.Passed() {
 		t.Errorf("regions checks failed:\n%s", a.Summary)
 	}
@@ -224,7 +253,7 @@ func TestRegionsChecksPass(t *testing.T) {
 }
 
 func TestScoreboardChecksPass(t *testing.T) {
-	a := ScoreboardExperiment(study(t))
+	a := artifact(t, "scoreboard")
 	if !a.Passed() {
 		t.Errorf("scoreboard checks failed:\n%s", a.Summary)
 	}
@@ -234,7 +263,7 @@ func TestScoreboardChecksPass(t *testing.T) {
 }
 
 func TestMemSweepChecksPass(t *testing.T) {
-	a := MemSweep(study(t))
+	a := artifact(t, "memsweep")
 	if !a.Passed() {
 		t.Errorf("memsweep checks failed:\n%s", a.Summary)
 	}

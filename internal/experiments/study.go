@@ -128,7 +128,7 @@ type Study struct {
 // row-count cross-checks.)
 type studyInterrupt struct{ err error }
 
-// SetContext installs the context the study's legacy-signature sweep
+// SetContext installs the context the study's error-free sweep
 // accessors (Sweep1D, Map2D) run under; nil restores context.Background().
 // When the context is cancelled mid-sweep those accessors panic with an
 // internal marker that Definition.RunContext converts back into the
@@ -285,8 +285,8 @@ func (s *Study) serviceEligible() bool {
 // (unreachable daemon, refused admission), with a stderr note so a
 // user who pointed the study at a daemon (e.g. a mistyped -server URL)
 // sees that the work ran locally. Determinism makes the fallback maps
-// identical, and the legacy panic-discipline entry points (Sweep1D,
-// Map2D, RunExperiment) predate error returns, so a down daemon must
+// identical, and the study's panic-discipline accessors (Sweep1D,
+// Map2D, RunExperiment) have no error return, so a down daemon must
 // not start crashing them.
 func serviceFallback(ctx context.Context, err error) bool {
 	if err == nil || ctx.Err() != nil {

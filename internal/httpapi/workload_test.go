@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,5 +128,51 @@ func TestWorkloadRejectedOverTheWire(t *testing.T) {
 	_, err = c.Submit(context.Background(), service.Request{Workload: ws})
 	if !errors.Is(err, service.ErrInvalidRequest) {
 		t.Fatalf("Submit err = %v, want ErrInvalidRequest", err)
+	}
+}
+
+// TestStudyPlansOn1DAxis pins built-in admission on a request without
+// grid_2d, over all thirteen study plans: the six that degrade legally
+// when tb is absent run; the seven that reach through the b threshold
+// are refused at Submit — invalid_request on the wire, ErrInvalidRequest
+// through the client — rather than failing mid-job with a compiler panic
+// or a row cross-check.
+func TestStudyPlansOn1DAxis(t *testing.T) {
+	ts, _, stop := startServer(t, nil, 1)
+	defer stop()
+	c := NewClient(ts.URL, WithHTTPClient(ts.Client()))
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		id string
+		ok bool
+	}{
+		{"A1", true}, {"A2", true}, {"A3", false}, {"A4", false}, {"A5", false},
+		{"A6", false}, {"A7", false}, {"B1", true}, {"B2", false}, {"B3", true},
+		{"B4", false}, {"C1", true}, {"C2", true},
+	} {
+		req := service.Request{Plans: []string{"A1", tc.id}, Rows: 1 << 9, MaxExp: 2}
+		if tc.ok {
+			res, err := service.Run(ctx, c, req, nil)
+			if err != nil || res.Map1D == nil || len(res.Map1D.Plans) != 2 {
+				t.Errorf("plan %s on a 1-D axis: result %+v, err %v", tc.id, res, err)
+			}
+			continue
+		}
+		if _, err := c.Submit(ctx, req); !errors.Is(err, service.ErrInvalidRequest) ||
+			!strings.Contains(err.Error(), "two-predicate") {
+			t.Errorf("Submit plan %s on a 1-D axis: err = %v, want ErrInvalidRequest naming the two-predicate query", tc.id, err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"plans":["A1","`+tc.id+`"],"rows":512,"max_exp":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wireError(t, resp, http.StatusBadRequest, "invalid_request")
+		// The same plan is welcome on the 2-D grid.
+		req.Grid2D = true
+		if _, err := c.Submit(ctx, req); err != nil {
+			t.Errorf("Submit plan %s on a 2-D grid: %v", tc.id, err)
+		}
 	}
 }

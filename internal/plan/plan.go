@@ -18,10 +18,9 @@
 // The plans are no longer hand-written Go: they are declared once, as a
 // workload spec (paper_workload.json, embedded below), and compiled
 // through the same operator registry (compile.go) that serves
-// user-supplied workload files. The PlanA1TableScan()-style constructors
-// remain as thin wrappers over that compiled catalog, pinned
-// byte-identical to the original hand-built versions by the equivalence
-// tests.
+// user-supplied workload files. The plan sets below serve that compiled
+// catalog (ByID picks one plan out of a set), pinned byte-identical to
+// the original hand-built versions by the equivalence tests.
 package plan
 
 import (
@@ -97,7 +96,7 @@ func PaperWorkload() *spec.WorkloadSpec {
 	return w
 }
 
-// paperCompiled compiles the embedded workload once; every constructor
+// paperCompiled compiles the embedded workload once; every plan set
 // below serves from it.
 var paperCompiled = sync.OnceValue(func() *CompiledWorkload {
 	cw, err := CompileWorkload(PaperWorkload())
@@ -106,83 +105,6 @@ var paperCompiled = sync.OnceValue(func() *CompiledWorkload {
 	}
 	return cw
 })
-
-// paperPlan fetches one compiled paper plan by id.
-func paperPlan(id string) Plan {
-	p, ok := paperCompiled().Plan(id)
-	if !ok {
-		panic(fmt.Sprintf("plan: embedded paper workload has no plan %q", id))
-	}
-	return p
-}
-
-// --- System A plans (seven, for the two-predicate query) ---------------
-
-// PlanA1TableScan scans the base table and filters.
-func PlanA1TableScan() Plan { return paperPlan("A1") }
-
-// PlanA2IdxAImproved scans idx(a) and fetches rows with the improved
-// (sorted, gap-streaming) fetch; the b predicate is residual.
-func PlanA2IdxAImproved() Plan { return paperPlan("A2") }
-
-// PlanA3IdxBImproved is the symmetric plan on idx(b).
-func PlanA3IdxBImproved() Plan { return paperPlan("A3") }
-
-// PlanA4MergeAB intersects idx(a) with idx(b) by merge join, then fetches.
-func PlanA4MergeAB() Plan { return paperPlan("A4") }
-
-// PlanA5MergeBA is the merge intersection in the other join order.
-func PlanA5MergeBA() Plan { return paperPlan("A5") }
-
-// PlanA6HashAB hash-intersects with idx(a) as the build side.
-func PlanA6HashAB() Plan { return paperPlan("A6") }
-
-// PlanA7HashBA hash-intersects with idx(b) as the build side.
-func PlanA7HashBA() Plan { return paperPlan("A7") }
-
-// --- System B plans (four) ----------------------------------------------
-//
-// System B applies MVCC to base rows only, so no index is covering: every
-// plan ends in a fetch, done bitmap-driven (Figure 8). Its two-column
-// indexes evaluate both predicates from index entries before fetching.
-
-// PlanB1IdxABBitmap scans idx(a,b) with both predicates on the entries,
-// then bitmap-fetches the full rows (visibility forces the fetch).
-func PlanB1IdxABBitmap() Plan { return paperPlan("B1") }
-
-// PlanB2IdxBABitmap is the symmetric plan over idx(b,a).
-func PlanB2IdxBABitmap() Plan { return paperPlan("B2") }
-
-// PlanB3IdxABitmap scans single-column idx(a) and bitmap-fetches.
-func PlanB3IdxABitmap() Plan { return paperPlan("B3") }
-
-// PlanB4IdxBBitmap is the symmetric plan on idx(b).
-func PlanB4IdxBBitmap() Plan { return paperPlan("B4") }
-
-// --- System C plans (two) -----------------------------------------------
-
-// PlanC1MDAMAB answers the query index-only via MDAM over idx(a,b).
-func PlanC1MDAMAB() Plan { return paperPlan("C1") }
-
-// PlanC2MDAMBA answers the query index-only via MDAM over idx(b,a). With
-// no b predicate the leading column is unrestricted and MDAM degrades to
-// a full index sweep with an a filter — still a legal fixed plan.
-func PlanC2MDAMBA() Plan { return paperPlan("C2") }
-
-// --- Figure 1 / Figure 2 plan sets (single-predicate query) --------------
-
-// PlanFig1Traditional is the traditional index scan of Figure 1: idx(a)
-// range scan with row-at-a-time fetch in key order.
-func PlanFig1Traditional() Plan { return paperPlan("F1-trad") }
-
-// PlanFig2IndexJoin joins idx(a)'s qualifying range against the full
-// idx(b) on RID, covering the (a, b) output without touching the table —
-// Figure 2's "multi-index plans that join non-clustered indexes such that
-// the join result covers the query". algo selects merge or hash; buildA
-// selects the join order.
-func PlanFig2IndexJoin(algo string, buildA bool) Plan {
-	return paperPlan(fmt.Sprintf("F2-%s-%s", algo, map[bool]string{true: "ab", false: "ba"}[buildA]))
-}
 
 // ridsAsRows adapts a RID stream to a RowIter emitting one empty row per
 // RID — the rids_as_rows operator. Figure 2's covering index joins end in
@@ -213,7 +135,11 @@ func (r *ridsAsRows) Close() { r.inner.Close() }
 func plansByID(ids ...string) []Plan {
 	out := make([]Plan, len(ids))
 	for i, id := range ids {
-		out[i] = paperPlan(id)
+		p, ok := paperCompiled().Plan(id)
+		if !ok {
+			panic(fmt.Sprintf("plan: embedded paper workload has no plan %q", id))
+		}
+		out[i] = p
 	}
 	return out
 }
@@ -224,12 +150,19 @@ func SystemAPlans() []Plan {
 	return plansByID("A1", "A2", "A3", "A4", "A5", "A6", "A7")
 }
 
-// SystemBPlans returns System B's four additional plans.
+// SystemBPlans returns System B's four additional plans. System B applies
+// MVCC to base rows only, so no index is covering: every plan ends in a
+// fetch (visibility forces it), done bitmap-driven (Figure 8). Its
+// two-column indexes evaluate both predicates from index entries before
+// fetching (B1, B2); B3 and B4 scan a single-column index.
 func SystemBPlans() []Plan {
 	return plansByID("B1", "B2", "B3", "B4")
 }
 
-// SystemCPlans returns System C's two MDAM plans.
+// SystemCPlans returns System C's two MDAM plans, index-only over idx(a,b)
+// and idx(b,a). With no b predicate C2's leading column is unrestricted
+// and MDAM degrades to a full index sweep with an a filter — still a
+// legal fixed plan.
 func SystemCPlans() []Plan {
 	return plansByID("C1", "C2")
 }
@@ -242,13 +175,18 @@ func AllPlans() []Plan {
 	return out
 }
 
-// Figure1Plans returns the three plans of Figure 1 (single-predicate).
+// Figure1Plans returns the three plans of Figure 1 (single-predicate):
+// the table scan, the traditional index scan (idx(a) range scan with
+// row-at-a-time fetch in key order), and the improved index scan.
 func Figure1Plans() []Plan {
 	return plansByID("A1", "F1-trad", "A2")
 }
 
 // Figure2Plans returns Figure 2's advanced selection plans: Figure 1's
-// three plus the four covering index joins.
+// three plus the four covering index joins — "multi-index plans that join
+// non-clustered indexes such that the join result covers the query":
+// idx(a)'s qualifying range joined against the full idx(b) on RID, by
+// merge or hash, in either join order, without touching the table.
 func Figure2Plans() []Plan {
 	return append(Figure1Plans(),
 		plansByID("F2-merge-ab", "F2-merge-ba", "F2-hash-ab", "F2-hash-ba")...)

@@ -96,10 +96,14 @@ func NewEngineResolver(base engine.Config) *EngineResolver {
 }
 
 // catalog maps every known plan id to its plan; twoPred marks the plans
-// of the two-predicate study (the only ones a 2-D grid accepts).
-var catalog, twoPred = func() (map[string]plan.Plan, map[string]bool) {
+// of the two-predicate study (the only ones a 2-D grid accepts) and
+// needsTB those of them that are meaningless without the b threshold
+// (the only ones a 1-D axis refuses), read off the embedded paper
+// workload's plan specs exactly as for a user-supplied workload.
+var catalog, twoPred, needsTB = func() (map[string]plan.Plan, map[string]bool, map[string]bool) {
 	all := map[string]plan.Plan{}
 	two := map[string]bool{}
+	needs := map[string]bool{}
 	for _, p := range plan.AllPlans() {
 		all[p.ID] = p
 		two[p.ID] = true
@@ -109,7 +113,13 @@ var catalog, twoPred = func() (map[string]plan.Plan, map[string]bool) {
 			all[p.ID] = p
 		}
 	}
-	return all, two
+	ws := plan.PaperWorkload()
+	for id := range all {
+		if ps, _ := ws.Plan(id); ps != nil && ps.NeedsTB() {
+			needs[id] = true
+		}
+	}
+	return all, two, needs
 }()
 
 // KnownPlanIDs lists every plan id a Request may name, sorted.
@@ -195,6 +205,13 @@ func (r *EngineResolver) Check(req Request) error {
 		}
 		if req.Grid2D && !twoPred[p.ID] {
 			return fmt.Errorf("%w: plan %q is a single-predicate Figure 1/2 extra; 2-D grids take the two-predicate study plans",
+				ErrInvalidRequest, id)
+		}
+		// The converse: at a 1-D point tb is -1, so a plan that reaches
+		// through the b threshold panics in the compiler or measures an
+		// empty range and trips the row cross-check mid-job.
+		if !req.Grid2D && needsTB[p.ID] {
+			return fmt.Errorf("%w: plan %q requires a two-predicate query; sweep it on a 2-D grid (grid_2d)",
 				ErrInvalidRequest, id)
 		}
 	}

@@ -68,8 +68,7 @@
 // non-robustness maps (see EnumerateQueryPlans, RegretMap2D).
 //
 // See the examples directory for complete programs, README.md for the
-// quick start and plan table, and DESIGN.md for the system inventory and
-// the legacy-to-options migration table.
+// quick start and plan table, and DESIGN.md for the system inventory.
 package robustmap
 
 import (
