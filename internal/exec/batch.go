@@ -6,30 +6,35 @@ import (
 
 	"robustmap/internal/record"
 	"robustmap/internal/simclock"
-	"robustmap/internal/storage"
 )
 
-// Batch-at-a-time execution (the MonetDB/X100 vectorization idiom).
+// Bounded batch pulls (the MonetDB/X100 vectorization idiom, with the
+// vector length chosen by the consumer).
 //
-// Operators that implement BatchOperator exchange fixed-capacity row
-// batches instead of single rows, amortizing interface dispatch and clock
-// charges across BatchCapacity rows. The virtual cost model is unchanged:
-// per-row CPU charges are summed per batch (addition is commutative, so the
-// clock totals are bit-identical to row-at-a-time execution), and the
-// sequence of buffer-pool and device operations — the stateful part of the
-// cost model — is exactly the per-row sequence. Plans therefore measure
-// byte-identical virtual times in either mode; batching only reduces the
-// wall-clock cost of measuring them.
+// Every operator has one pull method, NextBatch(max) (NextRIDBatch(max) for
+// RID streams), and exchanges row batches of at most max rows instead of
+// single rows, amortizing interface dispatch and clock charges across the
+// batch. The virtual cost model does not see the batching: per-row CPU
+// charges are summed per batch (addition is commutative, so the clock
+// totals are bit-identical at any bound), and a producer asked for max rows
+// performs exactly the buffer-pool and device operations — the stateful
+// part of the cost model — that max one-row pulls would. Row-at-a-time
+// execution is therefore not a second engine; it is the bound 1.
 //
-// Every batch-capable operator remains a RowIter. Mode is chosen by the
-// consumer: a consumer that calls NextBatch drives its subtree in batch
-// mode; one that calls Next drives it row-at-a-time. Operators whose I/O
-// interleaves with their consumer's I/O in row mode (Sort's spill, the
-// equality joins, MDAM) deliberately stay row-only, so a tree containing
-// them degrades to row-at-a-time below that point and the I/O interleaving
-// the cost model observes is preserved.
+// The one rule that keeps measured times independent of the bound: an
+// operator asks its input for no more rows than it can absorb before its
+// own next I/O. Pass-through operators (Filter, Project) hand their
+// consumer's bound down unchanged and Limit hands down the rows it still
+// wants. Operators that drain an input completely before doing anything
+// else (the hash aggregates, BitmapFetch, the RID intersections, the hash
+// join and the inner side of the nested-loop join) pull BatchCapacity.
+// Operators whose spill or lookup I/O interleaves with their input's
+// (Sort, the merge join, the outer sides of the nested-loop and index
+// nested-loop joins, StreamAggregate) pull at bound 1 through a rowCursor,
+// and TraditionalFetch takes its RIDs one at a time, so the interleaving
+// the device model prices is the row-at-a-time one.
 
-// BatchCapacity is the number of rows exchanged per NextBatch call.
+// BatchCapacity is the largest bound any operator passes to NextBatch.
 const BatchCapacity = 1024
 
 // Batch is a vector of rows with an optional selection vector.
@@ -93,42 +98,67 @@ func (b *Batch) commit(r Row) {
 	b.n++
 }
 
-// fillFromRows fills the batch from a row-mode pull function, copying value
-// structs (safe: row-mode producers back variable-length payloads on the
-// heap). It reports whether the source was exhausted; a full batch returns
-// false without probing further, so the source's Next is never called after
-// it has reported exhaustion.
-func (b *Batch) fillFromRows(next func() (Row, bool)) (exhausted bool) {
+// rowCursor pulls an input one row per call — the bound-1 consumer. The
+// row returned aliases the input's batch and is valid only until the next
+// pull: a consumer that keeps it (or any value in it) longer must cloneRow
+// it, because variable-length values may live in the batch's arena.
+type rowCursor struct{ RowIter }
+
+func (c rowCursor) next() (Row, bool) {
+	b, ok := c.NextBatch(1)
+	if !ok {
+		return nil, false
+	}
+	return b.Row(0), true
+}
+
+// cloneRow copies a row pulled from an input so it can be retained past
+// the next pull.
+func cloneRow(r Row) Row {
+	out := make(Row, len(r))
+	for i, v := range r {
+		out[i] = v.Clone()
+	}
+	return out
+}
+
+// rowOutput serves an operator's one-row next() as bounded batches. The
+// values next hands out must stay valid across later next calls (the
+// operators using it clone what they retain from their inputs); the Row
+// slice itself may be reused.
+type rowOutput struct {
+	batch *Batch
+	eof   bool // next reported exhaustion; it must not be called again
+}
+
+// fill returns the next up to max rows of next, copying value structs. A
+// full batch returns without probing further.
+func (o *rowOutput) fill(next func() (Row, bool), max int) (*Batch, bool) {
+	if o.eof {
+		return nil, false
+	}
+	if o.batch == nil {
+		o.batch = getBatch()
+	}
+	b := o.batch
 	b.reset()
-	for b.n < BatchCapacity {
+	for b.n < max {
 		row, ok := next()
 		if !ok {
-			return true
+			o.eof = true
+			break
 		}
 		b.commit(append(b.rowBuf(), row...))
 	}
-	return false
+	if b.n == 0 {
+		return nil, false
+	}
+	return b, true
 }
 
-// BatchOperator is the batch-at-a-time iterator. NextBatch returns the next
-// non-empty batch, or (nil, false) when exhausted; it must not be called
-// again after returning false. Open and Close are shared with RowIter — all
-// batch-capable operators implement both interfaces.
-type BatchOperator interface {
-	Open()
-	NextBatch() (*Batch, bool)
-	Close()
-}
-
-// RIDBatcher is a RIDIter that can also deliver RIDs in bounded batches.
-// NextRIDBatch returns between 1 and max RIDs (the slice is valid until the
-// next call), or (nil, false) when exhausted; it must not be called again
-// after returning false. The bound matters for equivalence: a budgeted
-// consumer (ImprovedFetch's refill) stops the producer's index I/O at
-// exactly the entry where row-at-a-time consumption would have stopped.
-type RIDBatcher interface {
-	RIDIter
-	NextRIDBatch(max int) ([]storage.RID, bool)
+func (o *rowOutput) release() {
+	putBatch(o.batch)
+	o.batch = nil
 }
 
 // ridBatchCap bounds a single NextRIDBatch result.
@@ -151,11 +181,10 @@ func putBatch(b *Batch) {
 	}
 }
 
-// matchesAllTally evaluates a predicate conjunction with short-circuiting,
-// accumulating the predicate CPU cost into cpu instead of charging the
-// clock per predicate. The count of evaluated predicates — and therefore
-// the accumulated cost — is identical to MatchesAll's.
-func matchesAllTally(preds []ColPred, row Row, cpu *time.Duration) bool {
+// matchesAll evaluates a predicate conjunction with short-circuiting,
+// accumulating the cost of the predicates actually evaluated into cpu
+// instead of charging the clock per predicate.
+func matchesAll(preds []ColPred, row Row, cpu *time.Duration) bool {
 	for _, p := range preds {
 		*cpu += CostPredicate
 		if !p.Matches(row) {
@@ -171,90 +200,3 @@ func (c *Ctx) chargeDur(acct simclock.Account, d time.Duration) {
 		c.Clock.Advance(acct, d)
 	}
 }
-
-// AsBatchOperator adapts any RowIter to a BatchOperator. Native batch
-// operators are returned unchanged; row-only iterators are wrapped in an
-// adapter that copies rows into batches. The adapter preserves cost-model
-// equivalence: copying charges nothing, and the wrapped iterator performs
-// its I/O in the same order it would under row-at-a-time consumption.
-func AsBatchOperator(it RowIter) BatchOperator {
-	if bo, ok := it.(BatchOperator); ok {
-		return bo
-	}
-	return &rowBatchAdapter{inner: it}
-}
-
-// rowBatchAdapter lifts a row-only iterator into the batch interface.
-type rowBatchAdapter struct {
-	inner RowIter
-	batch *Batch
-	eof   bool
-}
-
-func (a *rowBatchAdapter) Open() { a.inner.Open() }
-
-func (a *rowBatchAdapter) Next() (Row, bool) { return a.inner.Next() }
-
-func (a *rowBatchAdapter) NextBatch() (*Batch, bool) {
-	if a.eof {
-		return nil, false
-	}
-	if a.batch == nil {
-		a.batch = getBatch()
-	}
-	a.eof = a.batch.fillFromRows(a.inner.Next)
-	if a.batch.n == 0 {
-		return nil, false
-	}
-	return a.batch, true
-}
-
-func (a *rowBatchAdapter) Close() {
-	a.inner.Close()
-	putBatch(a.batch)
-	a.batch = nil
-}
-
-// AsRowIter adapts a BatchOperator to a RowIter, serving rows out of each
-// batch in order. Rows handed out may alias the current batch (including
-// its arena); consumers that retain values across Next calls must Clone
-// them — the same contract RowIter already states for reused rows.
-func AsRowIter(op BatchOperator) RowIter {
-	if it, ok := op.(RowIter); ok {
-		return it
-	}
-	return &batchRowAdapter{inner: op}
-}
-
-// batchRowAdapter serves rows one at a time from a batch producer.
-type batchRowAdapter struct {
-	inner BatchOperator
-	b     *Batch
-	pos   int
-	eof   bool
-}
-
-func (a *batchRowAdapter) Open() { a.inner.Open() }
-
-func (a *batchRowAdapter) Next() (Row, bool) {
-	for {
-		if a.b != nil && a.pos < a.b.Len() {
-			row := a.b.Row(a.pos)
-			a.pos++
-			return row, true
-		}
-		if a.eof {
-			return nil, false
-		}
-		b, ok := a.inner.NextBatch()
-		if !ok {
-			a.eof = true
-			a.b = nil
-			return nil, false
-		}
-		a.b = b
-		a.pos = 0
-	}
-}
-
-func (a *batchRowAdapter) Close() { a.inner.Close() }

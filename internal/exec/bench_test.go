@@ -39,6 +39,28 @@ func BenchmarkFilterProject(b *testing.B) {
 	}
 }
 
+// BenchmarkSortScanCell tracks the pull path of the operators whose own
+// I/O interleaves with their input's: Sort takes a predicated table scan
+// one row per pull (bound 1), sorting in memory and spilling gracefully.
+func BenchmarkSortScanCell(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"mem", 1 << 30}, {"spill", 256 << 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := newTestEnv(b, 20011)
+			e.ctx.MemoryBudget = c.budget
+			aCol := e.tbl.Schema.MustOrdinal("a")
+			bCol := e.tbl.Schema.MustOrdinal("b")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan := NewTableScan(e.ctx, e.tbl, []ColPred{predLess(aCol, e.n/2)})
+				Drain(NewSort(e.ctx, scan, e.tbl.Schema, []int{bCol}, PolicyGraceful))
+			}
+		})
+	}
+}
+
 // TestBatchedScanFilterProjectAllocFree pins the tentpole's allocation
 // contract: once the pipeline's buffers are warm, pulling further batches
 // through scan → filter → project allocates nothing — no per-row and no
@@ -53,18 +75,18 @@ func TestBatchedScanFilterProjectAllocFree(t *testing.T) {
 	filt := NewFilter(e.ctx, scan, []ColPred{predLess(aCol, e.n/2), predLess(bCol, e.n/2)})
 	proj := NewProject(e.ctx, filt, []int{aCol, bCol})
 
-	var root BatchOperator = proj
+	var root RowIter = proj
 	root.Open()
 	defer root.Close()
 	// Warm up: first batches grow row buffers, arenas, and selection
 	// vectors to steady-state capacity.
 	for i := 0; i < 3; i++ {
-		if _, ok := root.NextBatch(); !ok {
+		if _, ok := root.NextBatch(BatchCapacity); !ok {
 			t.Fatal("pipeline exhausted during warm-up")
 		}
 	}
 	avg := testing.AllocsPerRun(8, func() {
-		if _, ok := root.NextBatch(); !ok {
+		if _, ok := root.NextBatch(BatchCapacity); !ok {
 			t.Fatal("pipeline exhausted during measurement")
 		}
 	})
@@ -77,16 +99,16 @@ func TestBatchedScanFilterProjectAllocFree(t *testing.T) {
 func TestBatchedTableScanAllocFree(t *testing.T) {
 	e := newTestEnv(t, 20011)
 	scan := NewTableScan(e.ctx, e.tbl, nil)
-	var root BatchOperator = scan
+	var root RowIter = scan
 	root.Open()
 	defer root.Close()
 	for i := 0; i < 3; i++ {
-		if _, ok := root.NextBatch(); !ok {
+		if _, ok := root.NextBatch(BatchCapacity); !ok {
 			t.Fatal("scan exhausted during warm-up")
 		}
 	}
 	avg := testing.AllocsPerRun(8, func() {
-		if _, ok := root.NextBatch(); !ok {
+		if _, ok := root.NextBatch(BatchCapacity); !ok {
 			t.Fatal("scan exhausted during measurement")
 		}
 	})

@@ -4,10 +4,12 @@
 // joins (merge and hash), general equality joins, external sort with
 // graceful and non-graceful spill policies, and aggregation.
 //
-// Operators follow the Volcano iterator model. All physical page access
-// goes through the buffer pool, and all per-row CPU work is charged to the
-// virtual clock, so a query's "execution time" is exactly the cost its plan
-// shape induces — the quantity swept by the robustness maps.
+// Operators follow the Volcano iterator model with one pull method whose
+// granularity the consumer chooses per call (see batch.go). All physical
+// page access goes through the buffer pool, and all per-row CPU work is
+// charged to the virtual clock, so a query's "execution time" is exactly
+// the cost its plan shape induces — the quantity swept by the robustness
+// maps.
 package exec
 
 import (
@@ -65,47 +67,47 @@ func (c *Ctx) Budget() int64 {
 type Row = []record.Value
 
 // RowIter is the Volcano iterator over rows. Implementations are
-// single-pass: Open, Next until false, Close. The returned row may be
-// reused by the iterator; consumers must copy values they retain.
+// single-pass: Open, NextBatch until false, Close. NextBatch returns the
+// next 1 to max live rows, or (nil, false) when exhausted, after which it
+// must not be called again. It leaves the producer in exactly the state
+// max one-row pulls would have: no page is read and no charge made for a
+// row beyond the last one returned. The batch belongs to the producer and
+// is valid until its next NextBatch or Close (see Batch).
 type RowIter interface {
 	Open()
-	Next() (Row, bool)
+	NextBatch(max int) (*Batch, bool)
 	Close()
 }
 
 // RIDIter is the Volcano iterator over record identifiers, produced by
 // index scans and intersection joins and consumed by fetch operators.
+// NextRIDBatch is NextBatch for RIDs: between 1 and max of them (the slice
+// is valid until the next call), or (nil, false) when exhausted. The bound
+// is what lets a budgeted consumer (ImprovedFetch's refill) stop the
+// producer's index I/O at exactly the entry it has room for.
 type RIDIter interface {
 	Open()
-	Next() (storage.RID, bool)
+	NextRIDBatch(max int) ([]storage.RID, bool)
 	Close()
 }
 
 // Drain exhausts a row iterator and returns the row count — the standard
 // way experiments execute a plan to completion without materializing
 // results (the paper measures execution time, not result transfer).
-func Drain(it RowIter) int64 {
+func Drain(it RowIter) int64 { return drain(it, BatchCapacity) }
+
+// drain is Drain pulling at most max rows per call. The virtual time
+// measured does not depend on max; only the wall-clock cost does.
+func drain(it RowIter, max int) int64 {
 	it.Open()
 	defer it.Close()
-	if bo, ok := it.(BatchOperator); ok {
-		// Batch-capable root: drive the whole tree batch-at-a-time. The
-		// virtual time measured is byte-identical to row-at-a-time
-		// iteration (see batch.go); only the wall-clock cost drops.
-		var n int64
-		for {
-			b, ok := bo.NextBatch()
-			if !ok {
-				return n
-			}
-			n += int64(b.Len())
-		}
-	}
 	var n int64
 	for {
-		if _, ok := it.Next(); !ok {
+		b, ok := it.NextBatch(max)
+		if !ok {
 			return n
 		}
-		n++
+		n += int64(b.Len())
 	}
 }
 
@@ -115,10 +117,11 @@ func DrainRIDs(it RIDIter) int64 {
 	defer it.Close()
 	var n int64
 	for {
-		if _, ok := it.Next(); !ok {
+		rids, ok := it.NextRIDBatch(ridBatchCap)
+		if !ok {
 			return n
 		}
-		n++
+		n += int64(len(rids))
 	}
 }
 
@@ -139,18 +142,6 @@ func (p ColPred) Matches(row Row) bool {
 	}
 	if !p.Hi.IsNull() && record.Compare(v, p.Hi) >= 0 {
 		return false
-	}
-	return true
-}
-
-// MatchesAll evaluates a conjunction, charging predicate CPU.
-func MatchesAll(ctx *Ctx, preds []ColPred, row Row) bool {
-	for i, p := range preds {
-		ctx.ChargeCPU(simclock.AccountCPU, CostPredicate, 1)
-		if !p.Matches(row) {
-			_ = i
-			return false
-		}
 	}
 	return true
 }

@@ -136,14 +136,7 @@ func TestIndexRangeScanMatchesModel(t *testing.T) {
 
 func TestIndexRangeScanRIDsPointAtMatchingRows(t *testing.T) {
 	e := newTestEnv(t, 1009)
-	it := e.scanA(50)
-	it.Open()
-	defer it.Close()
-	for {
-		rid, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, rid := range collectRIDs(e.scanA(50)) {
 		rec, found := e.tbl.Heap.Fetch(rid)
 		if !found {
 			t.Fatalf("RID %v points at nothing", rid)
@@ -239,14 +232,14 @@ func (c *concatRIDs) Open() {
 	c.b.Open()
 }
 
-func (c *concatRIDs) Next() (storage.RID, bool) {
+func (c *concatRIDs) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if !c.onB {
-		if rid, ok := c.a.Next(); ok {
-			return rid, true
+		if rids, ok := c.a.NextRIDBatch(max); ok {
+			return rids, true
 		}
 		c.onB = true
 	}
-	return c.b.Next()
+	return c.b.NextRIDBatch(max)
 }
 
 func (c *concatRIDs) Close() {
@@ -273,16 +266,9 @@ func TestRIDIntersectionsMatchModel(t *testing.T) {
 
 func TestRIDMergeEmitsSortedOrder(t *testing.T) {
 	e := newTestEnv(t, 1009)
-	it := NewRIDMergeIntersect(e.ctx, e.scanA(400), e.scanB(400))
-	it.Open()
-	defer it.Close()
 	var prev storage.RID
 	first := true
-	for {
-		rid, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, rid := range collectRIDs(NewRIDMergeIntersect(e.ctx, e.scanA(400), e.scanB(400))) {
 		if !first && !prev.Less(rid) {
 			t.Fatalf("merge output out of order: %v then %v", prev, rid)
 		}

@@ -6,71 +6,44 @@ import (
 
 	"robustmap/internal/bitmap"
 	"robustmap/internal/catalog"
-	"robustmap/internal/mvcc"
 	"robustmap/internal/simclock"
 	"robustmap/internal/storage"
 )
 
-// fetchRow resolves one RID to a decoded, visibility-checked row, applying
-// residual predicates. Shared by all fetch strategies.
-func fetchRow(ctx *Ctx, t *catalog.Table, rid storage.RID, preds []ColPred, row Row) (Row, bool) {
+// fetchRow resolves one RID to a decoded, visibility-checked row in the
+// batch, applying residual predicates (see decodeRow). Shared by all fetch
+// strategies.
+func fetchRow(ctx *Ctx, t *catalog.Table, rid storage.RID, preds []ColPred, b *Batch, cpu *time.Duration) bool {
 	rec, ok := t.Heap.Fetch(rid)
 	if !ok {
-		return row, false
+		return false
 	}
-	payload := rec
-	if t.Versioned != nil {
-		h, p := mvcc.DecodeHeader(rec)
-		if !ctx.Snap.Visible(h) {
-			return row, false
-		}
-		payload = p
-	}
-	ctx.ChargeCPU(simclock.AccountCPU, CostRowDecode, 1)
-	row = row[:0]
-	var err error
-	row, _, err = t.Schema.Decode(payload, row)
-	if err != nil {
-		panic("exec: corrupt row during fetch: " + err.Error())
-	}
-	if !MatchesAll(ctx, preds, row) {
-		return row, false
-	}
-	ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
-	return row, true
+	return decodeRow(ctx, t, rec, preds, b, cpu)
 }
 
-// fetchRowBatch is fetchRow for batch mode: the row decodes into
-// batch-owned storage (arena-backed) and CPU costs accumulate into cpu
-// instead of being charged per row. The heap and buffer-pool access
-// sequence is identical to fetchRow's.
-func fetchRowBatch(ctx *Ctx, t *catalog.Table, rid storage.RID, preds []ColPred, b *Batch, cpu *time.Duration) bool {
-	rec, ok := t.Heap.Fetch(rid)
-	if !ok {
-		return false
+// stepTo positions the device at the next page of an ascending fetch,
+// streaming through short gaps rather than seeking: reading a few unneeded
+// pages is cheaper than a seek whenever the gap is shorter than
+// seek/transfer pages, the break-even length. With streaming disabled
+// every page change pays its seek.
+func stepTo(ctx *Ctx, t *catalog.Table, lastPage *storage.PageNo, page storage.PageNo, disableStreaming bool) {
+	last := *lastPage
+	if page == last {
+		return // same page as previous row: already resident
 	}
-	payload := rec
-	if t.Versioned != nil {
-		h, p := mvcc.DecodeHeader(rec)
-		if !ctx.Snap.Visible(h) {
-			return false
-		}
-		payload = p
+	*lastPage = page
+	if disableStreaming || last < 0 || page < last {
+		return
 	}
-	*cpu += CostRowDecode
-	row := b.rowBuf()
-	var err error
-	row, b.arena, _, err = t.Schema.DecodeArena(payload, row, b.arena)
-	if err != nil {
-		panic("exec: corrupt row during fetch: " + err.Error())
+	gapLimit := storage.PageNo(1)
+	if p := ctx.Pool.Device().Params(); p.PageTransfer > 0 {
+		gapLimit = storage.PageNo(p.SeekLatency / p.PageTransfer)
 	}
-	if !matchesAllTally(preds, row, cpu) {
-		b.store(row)
-		return false
+	if page-last <= gapLimit {
+		// Prefetch the run up to and including the target page. Unneeded
+		// pages cost transfer time only.
+		ctx.Pool.Prefetch(t.Heap.File(), last+1, int(page-last))
 	}
-	*cpu += CostEmit
-	b.commit(row)
-	return true
 }
 
 // TraditionalFetch resolves RIDs in their arrival order — the index's key
@@ -83,7 +56,6 @@ type TraditionalFetch struct {
 	table *catalog.Table
 	input RIDIter
 	preds []ColPred
-	row   Row
 	batch *Batch
 	eof   bool
 }
@@ -96,26 +68,11 @@ func NewTraditionalFetch(ctx *Ctx, t *catalog.Table, input RIDIter, preds []ColP
 // Open opens the RID source.
 func (f *TraditionalFetch) Open() { f.input.Open() }
 
-// Next fetches the next qualifying row.
-func (f *TraditionalFetch) Next() (Row, bool) {
-	for {
-		rid, ok := f.input.Next()
-		if !ok {
-			return nil, false
-		}
-		var hit bool
-		f.row, hit = fetchRow(f.ctx, f.table, rid, f.preds, f.row)
-		if hit {
-			return f.row, true
-		}
-	}
-}
-
-// NextBatch returns the next batch of qualifying rows. RIDs are still
-// pulled from the input one at a time — the defining property of the
-// traditional fetch is that its index I/O interleaves with its heap I/O
-// per row, and batching must not change that order.
-func (f *TraditionalFetch) NextBatch() (*Batch, bool) {
+// NextBatch returns the next batch of up to max qualifying rows. RIDs are
+// pulled from the input one at a time whatever the bound — the defining
+// property of the traditional fetch is that its index I/O interleaves with
+// its heap I/O per row.
+func (f *TraditionalFetch) NextBatch(max int) (*Batch, bool) {
 	if f.eof {
 		return nil, false
 	}
@@ -125,13 +82,13 @@ func (f *TraditionalFetch) NextBatch() (*Batch, bool) {
 	b := f.batch
 	b.reset()
 	var cpu time.Duration
-	for b.n < BatchCapacity {
-		rid, ok := f.input.Next()
+	for b.n < max {
+		rids, ok := f.input.NextRIDBatch(1)
 		if !ok {
 			f.eof = true
 			break
 		}
-		fetchRowBatch(f.ctx, f.table, rid, f.preds, b, &cpu)
+		fetchRow(f.ctx, f.table, rids[0], f.preds, b, &cpu)
 	}
 	f.ctx.chargeDur(simclock.AccountCPU, cpu)
 	if b.n == 0 {
@@ -167,14 +124,11 @@ type ImprovedFetch struct {
 	batch     []storage.RID
 	batchPos  int
 	exhausted bool
-	row       Row
 	lastPage  storage.PageNo
 
-	out      *Batch     // batch-mode output buffer
-	outEOF   bool       // batch mode reported exhaustion
-	driven   bool       // NextBatch drives this fetch; refill pulls RID batches
-	bsrc     RIDBatcher // batched RID source, if the input supports it
-	sortKeys []uint64   // scratch for the packed RID sort
+	out      *Batch   // output buffer
+	outEOF   bool     // exhaustion was reported
+	sortKeys []uint64 // scratch for the packed RID sort
 
 	// DisableGapStreaming turns off the stream-through-short-gaps
 	// optimization, paying a seek for every page change — the ablation
@@ -208,57 +162,19 @@ func (f *ImprovedFetch) Open() {
 	f.lastPage = -1
 }
 
-// Next fetches the next qualifying row, refilling and sorting batches as
-// needed.
-func (f *ImprovedFetch) Next() (Row, bool) {
-	for {
-		if f.batchPos < len(f.batch) {
-			rid := f.batch[f.batchPos]
-			f.batchPos++
-			f.stepTo(rid.Page)
-			var hit bool
-			f.row, hit = fetchRow(f.ctx, f.table, rid, f.preds, f.row)
-			if hit {
-				return f.row, true
-			}
-			continue
-		}
-		if f.exhausted {
-			return nil, false
-		}
-		f.refill()
-		if len(f.batch) == 0 && f.exhausted {
-			return nil, false
-		}
-	}
-}
-
-// refill pulls the next batch of RIDs and sorts it physically. In batch
-// mode RIDs arrive in bounded sub-batches whose budget stops the producer's
-// index I/O at exactly the entry row-at-a-time pulls would have stopped at;
-// either way the RID stream content and order are identical, so the sorted
-// batch — and every page access it drives — is too.
+// refill pulls the next batch of RIDs and sorts it physically. RIDs arrive
+// in sub-batches bounded by the room left, so the producer's index I/O
+// stops at exactly the entry that fills the budget.
 func (f *ImprovedFetch) refill() {
 	f.batch = f.batch[:0]
 	f.batchPos = 0
-	if f.driven && f.bsrc != nil {
-		for len(f.batch) < f.maxBatch {
-			rids, ok := f.bsrc.NextRIDBatch(f.maxBatch - len(f.batch))
-			if !ok {
-				f.exhausted = true
-				break
-			}
-			f.batch = append(f.batch, rids...)
+	for len(f.batch) < f.maxBatch {
+		rids, ok := f.input.NextRIDBatch(f.maxBatch - len(f.batch))
+		if !ok {
+			f.exhausted = true
+			break
 		}
-	} else {
-		for len(f.batch) < f.maxBatch {
-			rid, ok := f.input.Next()
-			if !ok {
-				f.exhausted = true
-				break
-			}
-			f.batch = append(f.batch, rid)
-		}
+		f.batch = append(f.batch, rids...)
 	}
 	n := len(f.batch)
 	if n > 1 {
@@ -274,44 +190,11 @@ func (f *ImprovedFetch) refill() {
 	f.lastPage = -1
 }
 
-// stepTo positions the device at the page, streaming through short gaps.
-func (f *ImprovedFetch) stepTo(page storage.PageNo) {
-	if page == f.lastPage {
-		return // same page as previous row: already resident
-	}
-	if f.DisableGapStreaming {
-		f.lastPage = page
-		return
-	}
-	gapLimit := f.gapLimit()
-	if f.lastPage >= 0 && page > f.lastPage && page-f.lastPage <= gapLimit {
-		// Stream through the gap: prefetch the run up to and including the
-		// target page. Unneeded pages cost transfer time only.
-		f.ctx.Pool.Prefetch(f.table.Heap.File(), f.lastPage+1, int(page-f.lastPage))
-	}
-	f.lastPage = page
-}
-
-// gapLimit returns the break-even gap length in pages: below this,
-// streaming beats seeking.
-func (f *ImprovedFetch) gapLimit() storage.PageNo {
-	p := f.ctx.Pool.Device().Params()
-	if p.PageTransfer <= 0 {
-		return 1
-	}
-	return storage.PageNo(p.SeekLatency / p.PageTransfer)
-}
-
-// NextBatch returns the next batch of qualifying rows, refilling and
-// sorting RID batches as needed. The per-RID page positioning (stepTo) and
-// heap access sequence are identical to row-at-a-time Next.
-func (f *ImprovedFetch) NextBatch() (*Batch, bool) {
+// NextBatch returns the next batch of up to max qualifying rows, refilling
+// and sorting RID batches as needed.
+func (f *ImprovedFetch) NextBatch(max int) (*Batch, bool) {
 	if f.outEOF {
 		return nil, false
-	}
-	if !f.driven {
-		f.driven = true
-		f.bsrc, _ = f.input.(RIDBatcher)
 	}
 	if f.out == nil {
 		f.out = getBatch()
@@ -319,12 +202,12 @@ func (f *ImprovedFetch) NextBatch() (*Batch, bool) {
 	b := f.out
 	b.reset()
 	var cpu time.Duration
-	for b.n < BatchCapacity {
+	for b.n < max {
 		if f.batchPos < len(f.batch) {
 			rid := f.batch[f.batchPos]
 			f.batchPos++
-			f.stepTo(rid.Page)
-			fetchRowBatch(f.ctx, f.table, rid, f.preds, b, &cpu)
+			stepTo(f.ctx, f.table, &f.lastPage, rid.Page, f.DisableGapStreaming)
+			fetchRow(f.ctx, f.table, rid, f.preds, b, &cpu)
 			continue
 		}
 		if f.exhausted {
@@ -364,13 +247,11 @@ type BitmapFetch struct {
 
 	rids     []storage.RID
 	pos      int
-	row      Row
 	lastPage storage.PageNo
 	built    bool
 
 	out    *Batch
 	outEOF bool
-	driven bool
 }
 
 // NewBitmapFetch constructs the bitmap-driven fetch.
@@ -384,34 +265,22 @@ func (f *BitmapFetch) Open() {
 	f.lastPage = -1
 }
 
+// build drains the whole input into the bitmap before the first fetch, so
+// it pulls full sub-batches and sums the bitmap-op charges over each.
 func (f *BitmapFetch) build() {
 	bm := bitmap.New(f.table.Heap.File())
-	if bsrc, ok := f.input.(RIDBatcher); f.driven && ok {
-		// Batched gather: the whole input is drained either way, so the
-		// RID stream and its I/O order are unchanged; only the bitmap-op
-		// charges are summed per sub-batch.
-		var cpu time.Duration
-		for {
-			rids, ok := bsrc.NextRIDBatch(ridBatchCap)
-			if !ok {
-				break
-			}
-			cpu += CostBitmapOp * time.Duration(len(rids))
-			for _, rid := range rids {
-				bm.Add(rid)
-			}
+	var cpu time.Duration
+	for {
+		rids, ok := f.input.NextRIDBatch(ridBatchCap)
+		if !ok {
+			break
 		}
-		f.ctx.chargeDur(simclock.AccountCPU, cpu)
-	} else {
-		for {
-			rid, ok := f.input.Next()
-			if !ok {
-				break
-			}
-			f.ctx.ChargeCPU(simclock.AccountCPU, CostBitmapOp, 1)
+		cpu += CostBitmapOp * time.Duration(len(rids))
+		for _, rid := range rids {
 			bm.Add(rid)
 		}
 	}
+	f.ctx.chargeDur(simclock.AccountCPU, cpu)
 	f.rids = make([]storage.RID, 0, bm.Len())
 	bm.Iterate(func(rid storage.RID) bool {
 		f.rids = append(f.rids, rid)
@@ -420,42 +289,12 @@ func (f *BitmapFetch) build() {
 	f.built = true
 }
 
-// Next fetches the next qualifying row in physical order.
-func (f *BitmapFetch) Next() (Row, bool) {
-	if !f.built {
-		f.build()
-	}
-	for f.pos < len(f.rids) {
-		rid := f.rids[f.pos]
-		f.pos++
-		f.stepTo(rid.Page)
-		var hit bool
-		f.row, hit = fetchRow(f.ctx, f.table, rid, f.preds, f.row)
-		if hit {
-			return f.row, true
-		}
-	}
-	return nil, false
-}
-
-func (f *BitmapFetch) stepTo(page storage.PageNo) {
-	if page == f.lastPage {
-		return
-	}
-	p := f.ctx.Pool.Device().Params()
-	gapLimit := storage.PageNo(p.SeekLatency / p.PageTransfer)
-	if f.lastPage >= 0 && page > f.lastPage && page-f.lastPage <= gapLimit {
-		f.ctx.Pool.Prefetch(f.table.Heap.File(), f.lastPage+1, int(page-f.lastPage))
-	}
-	f.lastPage = page
-}
-
-// NextBatch returns the next batch of qualifying rows in physical order.
-func (f *BitmapFetch) NextBatch() (*Batch, bool) {
+// NextBatch returns the next batch of up to max qualifying rows in
+// physical order.
+func (f *BitmapFetch) NextBatch(max int) (*Batch, bool) {
 	if f.outEOF {
 		return nil, false
 	}
-	f.driven = true
 	if !f.built {
 		f.build()
 	}
@@ -465,11 +304,11 @@ func (f *BitmapFetch) NextBatch() (*Batch, bool) {
 	b := f.out
 	b.reset()
 	var cpu time.Duration
-	for b.n < BatchCapacity && f.pos < len(f.rids) {
+	for b.n < max && f.pos < len(f.rids) {
 		rid := f.rids[f.pos]
 		f.pos++
-		f.stepTo(rid.Page)
-		fetchRowBatch(f.ctx, f.table, rid, f.preds, b, &cpu)
+		stepTo(f.ctx, f.table, &f.lastPage, rid.Page, false)
+		fetchRow(f.ctx, f.table, rid, f.preds, b, &cpu)
 	}
 	if f.pos >= len(f.rids) {
 		f.outEOF = true

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"time"
+
 	"robustmap/internal/catalog"
 	"robustmap/internal/record"
 	"robustmap/internal/simclock"
@@ -17,7 +19,7 @@ import (
 // resources").
 type IndexNestedLoopJoin struct {
 	ctx      *Ctx
-	outer    RowIter
+	outer    rowCursor
 	ix       *catalog.Index
 	outerKey int // ordinal of the join key in the outer row
 	keyType  record.Type
@@ -25,8 +27,9 @@ type IndexNestedLoopJoin struct {
 	curOuter Row
 	rids     []storage.RID
 	pos      int
-	fetchRow Row
+	fetched  *Batch // scratch the current inner row is decoded into
 	out      Row
+	rowOutput
 }
 
 // NewIndexNestedLoopJoin constructs the join: for each outer row, the
@@ -37,13 +40,16 @@ func NewIndexNestedLoopJoin(ctx *Ctx, outer RowIter, ix *catalog.Index, outerKey
 		panic("exec: IndexNestedLoopJoin requires a single-column index")
 	}
 	return &IndexNestedLoopJoin{
-		ctx: ctx, outer: outer, ix: ix, outerKey: outerKey,
+		ctx: ctx, outer: rowCursor{outer}, ix: ix, outerKey: outerKey,
 		keyType: ix.Table.Schema.Column(ix.Ordinals[0]).Type,
 	}
 }
 
 // Open opens the outer input.
-func (j *IndexNestedLoopJoin) Open() { j.outer.Open() }
+func (j *IndexNestedLoopJoin) Open() {
+	j.outer.Open()
+	j.fetched = getBatch()
+}
 
 // probe collects the RIDs matching the outer key.
 func (j *IndexNestedLoopJoin) probe(key record.Value) {
@@ -58,32 +64,44 @@ func (j *IndexNestedLoopJoin) probe(key record.Value) {
 	}
 }
 
-// Next returns the next joined row: outer columns followed by the fetched
-// inner row's columns.
-func (j *IndexNestedLoopJoin) Next() (Row, bool) {
+// NextBatch returns up to max joined rows: outer columns followed by the
+// fetched inner row's columns. The outer input is taken a row at a time,
+// each row's index probe and heap fetches running before the next pull.
+func (j *IndexNestedLoopJoin) NextBatch(max int) (*Batch, bool) { return j.fill(j.next, max) }
+
+func (j *IndexNestedLoopJoin) next() (Row, bool) {
 	for {
 		for j.pos < len(j.rids) {
 			rid := j.rids[j.pos]
 			j.pos++
-			var hit bool
-			j.fetchRow, hit = fetchRow(j.ctx, j.ix.Table, rid, nil, j.fetchRow)
+			j.fetched.reset()
+			var cpu time.Duration
+			hit := fetchRow(j.ctx, j.ix.Table, rid, nil, j.fetched, &cpu)
+			j.ctx.chargeDur(simclock.AccountCPU, cpu)
 			if !hit {
 				continue
 			}
-			j.out = j.out[:0]
-			j.out = append(j.out, j.curOuter...)
-			j.out = append(j.out, j.fetchRow...)
+			j.out = append(j.out[:0], j.curOuter...)
+			// The scratch batch's arena is recycled by the next fetch.
+			for _, v := range j.fetched.rows[0] {
+				j.out = append(j.out, v.Clone())
+			}
 			j.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
 			return j.out, true
 		}
-		row, ok := j.outer.Next()
+		row, ok := j.outer.next()
 		if !ok {
 			return nil, false
 		}
-		j.curOuter = copyRowVals(row)
+		j.curOuter = cloneRow(row)
 		j.probe(row[j.outerKey])
 	}
 }
 
 // Close closes the outer input.
-func (j *IndexNestedLoopJoin) Close() { j.outer.Close() }
+func (j *IndexNestedLoopJoin) Close() {
+	j.outer.Close()
+	putBatch(j.fetched)
+	j.fetched = nil
+	j.release()
+}

@@ -14,14 +14,8 @@ func TestIndexNestedLoopJoinMatchesModel(t *testing.T) {
 		outer = append(outer, Row{record.Int(a), record.Int(a * 10)})
 	}
 	j := NewIndexNestedLoopJoin(e.ctx, &SliceRows{Rows: outer}, e.ixA, 0)
-	j.Open()
-	defer j.Close()
 	seen := 0
-	for {
-		row, ok := j.Next()
-		if !ok {
-			break
-		}
+	for _, row := range collectRows(j) {
 		seen++
 		// Output: outer (2 cols) ++ table row (4 cols); the joined table
 		// row's a column must equal the outer key.

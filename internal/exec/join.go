@@ -15,7 +15,7 @@ import (
 // cross product (buffered per key group).
 type MergeJoinRows struct {
 	ctx         *Ctx
-	left, right RowIter
+	left, right rowCursor
 	leftKeys    []int
 	rightKeys   []int
 
@@ -29,6 +29,7 @@ type MergeJoinRows struct {
 	groupKey Row
 	gi       int
 	out      Row
+	rowOutput
 }
 
 // NewMergeJoinRows constructs a merge join; inputs must be sorted on the
@@ -37,7 +38,8 @@ func NewMergeJoinRows(ctx *Ctx, left, right RowIter, leftKeys, rightKeys []int) 
 	if len(leftKeys) != len(rightKeys) {
 		panic("exec: merge join key arity mismatch")
 	}
-	return &MergeJoinRows{ctx: ctx, left: left, right: right, leftKeys: leftKeys, rightKeys: rightKeys}
+	return &MergeJoinRows{ctx: ctx, left: rowCursor{left}, right: rowCursor{right},
+		leftKeys: leftKeys, rightKeys: rightKeys}
 }
 
 // Open opens both inputs.
@@ -68,6 +70,8 @@ func (j *MergeJoinRows) compareRightKeys(a, b Row) int {
 	return 0
 }
 
+// copyRowVals copies a row whose values already live on the heap (a spill
+// reader's, or one cloned earlier) out of a buffer its owner reuses.
 func copyRowVals(r Row) Row {
 	out := make(Row, len(r))
 	copy(out, r)
@@ -75,25 +79,29 @@ func copyRowVals(r Row) Row {
 }
 
 func (j *MergeJoinRows) advanceLeft() {
-	row, ok := j.left.Next()
+	row, ok := j.left.next()
 	if ok {
-		j.lRow, j.lOK = copyRowVals(row), true
+		j.lRow, j.lOK = cloneRow(row), true
 	} else {
 		j.lOK = false
 	}
 }
 
 func (j *MergeJoinRows) advanceRight() {
-	row, ok := j.right.Next()
+	row, ok := j.right.next()
 	if ok {
-		j.rRow, j.rOK = copyRowVals(row), true
+		j.rRow, j.rOK = cloneRow(row), true
 	} else {
 		j.rOK = false
 	}
 }
 
-// Next returns the next joined row (left columns then right columns).
-func (j *MergeJoinRows) Next() (Row, bool) {
+// NextBatch returns up to max joined rows (left columns then right
+// columns). Both inputs are taken a row at a time, alternating as the keys
+// dictate — typically two Sorts whose merge reads must interleave.
+func (j *MergeJoinRows) NextBatch(max int) (*Batch, bool) { return j.fill(j.next, max) }
+
+func (j *MergeJoinRows) next() (Row, bool) {
 	if !j.started {
 		j.advanceLeft()
 		j.advanceRight()
@@ -149,6 +157,7 @@ func (j *MergeJoinRows) Next() (Row, bool) {
 func (j *MergeJoinRows) Close() {
 	j.left.Close()
 	j.right.Close()
+	j.release()
 }
 
 // HashJoinRows is a grace hash join: if the build input exceeds the memory
@@ -166,6 +175,7 @@ type HashJoinRows struct {
 	results []Row // materialized output (simple and sufficient here)
 	pos     int
 	built   bool
+	rowOutput
 }
 
 // HashJoinFanOut is the number of partitions used per grace-partitioning
@@ -245,14 +255,19 @@ func (j *HashJoinRows) run() {
 	j.built = true
 }
 
+// gatherRows materializes an input that is drained completely before its
+// consumer does anything else, so it is pulled in full batches. The rows
+// outlive their batches and are cloned.
 func gatherRows(it RowIter) []Row {
 	var out []Row
 	for {
-		row, ok := it.Next()
+		b, ok := it.NextBatch(BatchCapacity)
 		if !ok {
 			return out
 		}
-		out = append(out, copyRowVals(row))
+		for i, n := 0, b.Len(); i < n; i++ {
+			out = append(out, cloneRow(b.Row(i)))
+		}
 	}
 }
 
@@ -319,8 +334,11 @@ func (j *HashJoinRows) partition(rows []Row, schema *record.Schema, keys []int, 
 	return out
 }
 
-// Next returns the next joined row (build columns then probe columns).
-func (j *HashJoinRows) Next() (Row, bool) {
+// NextBatch returns up to max joined rows (build columns then probe
+// columns).
+func (j *HashJoinRows) NextBatch(max int) (*Batch, bool) { return j.fill(j.next, max) }
+
+func (j *HashJoinRows) next() (Row, bool) {
 	if !j.built {
 		j.run()
 	}
@@ -336,4 +354,5 @@ func (j *HashJoinRows) Next() (Row, bool) {
 func (j *HashJoinRows) Close() {
 	j.build.Close()
 	j.probe.Close()
+	j.release()
 }

@@ -42,25 +42,6 @@ func NewIndexKeyFilterScan(ctx *Ctx, ix *catalog.Index, lo, hi []byte, preds []C
 // Open seeks to the range start.
 func (s *IndexKeyFilterScan) Open() { s.cur = s.ix.Tree.Seek(s.lo, s.hi) }
 
-// Next returns the RID of the next entry whose key columns match.
-func (s *IndexKeyFilterScan) Next() (rid storage.RID, ok bool) {
-	for s.cur.Next() {
-		s.ctx.ChargeCPU(simclock.AccountCPU, CostIndexEntry, 1)
-		key := s.cur.Key()
-		if len(s.preds) > 0 {
-			vals, err := record.Denormalize(key[:len(key)-catalog.RIDSuffixLen], s.types)
-			if err != nil {
-				panic("exec: corrupt index key: " + err.Error())
-			}
-			if !MatchesAll(s.ctx, s.preds, vals) {
-				continue
-			}
-		}
-		return catalog.DecodeRIDSuffix(key), true
-	}
-	return storage.RID{}, false
-}
-
 // NextRIDBatch returns up to max matching RIDs, summing the per-entry and
 // predicate CPU charges (with exact short-circuit counts) per batch and
 // reusing one scratch row for key decoding.
@@ -79,7 +60,7 @@ func (s *IndexKeyFilterScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 				panic("exec: corrupt index key: " + err.Error())
 			}
 			s.scratch = vals
-			if !matchesAllTally(s.preds, vals, &cpu) {
+			if !matchesAll(s.preds, vals, &cpu) {
 				continue
 			}
 		}

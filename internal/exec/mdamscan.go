@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"time"
+
 	"robustmap/internal/btree"
 	"robustmap/internal/catalog"
 	"robustmap/internal/mdam"
@@ -37,7 +39,8 @@ type MDAMScan struct {
 
 	cur    *btree.Cursor
 	misses int
-	row    Row
+	batch  *Batch
+	eof    bool // the scan ended on a partial batch; next NextBatch ends
 
 	// Probes counts tree re-probes (for tests and EXPLAIN output).
 	Probes int
@@ -65,6 +68,7 @@ func NewMDAMScan(ctx *Ctx, ix *catalog.Index, leadSet, secondSet mdam.Set) *MDAM
 
 // Open positions the scan at the start of the leading interval set.
 func (s *MDAMScan) Open() {
+	s.eof = false
 	if s.leadSet.Empty() || s.secondSet.Empty() {
 		s.cur = nil
 		return
@@ -79,63 +83,86 @@ func (s *MDAMScan) Open() {
 	s.cur = s.ix.Tree.Seek(lo, hi)
 }
 
-// Next returns the next qualifying (lead, second) row.
-func (s *MDAMScan) Next() (Row, bool) {
-	if s.cur == nil {
+// NextBatch returns the next batch of up to max qualifying (lead, second)
+// rows, stopping at the entry that fills it: no leaf entry is read and no
+// probe made for a row beyond the bound.
+func (s *MDAMScan) NextBatch(max int) (*Batch, bool) {
+	if s.cur == nil || s.eof {
 		return nil, false
 	}
-	for s.cur.Next() {
-		s.ctx.ChargeCPU(simclock.AccountCPU, CostIndexEntry, 1)
-		key := s.cur.Key()
-		vals, err := record.Denormalize(key[:len(key)-catalog.RIDSuffixLen], s.types)
-		if err != nil {
-			panic("exec: corrupt MDAM index key: " + err.Error())
-		}
-		lead, second := vals[0], vals[1]
+	if s.batch == nil {
+		s.batch = getBatch()
+	}
+	b := s.batch
+	b.reset()
+	var cpu time.Duration
+	for b.n < max && !s.eof {
+		s.eof = !s.step(b, &cpu)
+	}
+	s.ctx.chargeDur(simclock.AccountCPU, cpu)
+	if b.n == 0 {
+		return nil, false
+	}
+	return b, true
+}
 
-		if !s.leadSet.Contains(lead) {
-			if s.DisableProbes {
-				continue
-			}
-			// Inside the overall [minLo, maxHi) range but in a gap between
-			// leading intervals: probe to the next interval's start.
-			if iv, ok := s.leadSet.NextFrom(lead); ok && !iv.Lo.IsNull() {
-				s.probeTo(record.NormalizeValue(nil, iv.Lo))
-				continue
-			}
-			return nil, false
-		}
+// step consumes one index entry — committing it to the batch, skipping it,
+// or re-probing past it — and reports false once the scan is over.
+func (s *MDAMScan) step(b *Batch, cpu *time.Duration) bool {
+	if !s.cur.Next() {
+		return false
+	}
+	*cpu += CostIndexEntry
+	key := s.cur.Key()
+	vals, err := record.DenormalizeAppend(b.rowBuf(), key[:len(key)-catalog.RIDSuffixLen], s.types)
+	if err != nil {
+		panic("exec: corrupt MDAM index key: " + err.Error())
+	}
+	b.store(vals)
+	lead, second := vals[0], vals[1]
 
-		if s.secondSet.Contains(second) {
-			s.misses = 0
-			s.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
-			s.row = vals
-			return s.row, true
-		}
+	if !s.leadSet.Contains(lead) {
 		if s.DisableProbes {
-			continue
+			return true
 		}
+		// Inside the overall [minLo, maxHi) range but in a gap between
+		// leading intervals: probe to the next interval's start.
+		if iv, ok := s.leadSet.NextFrom(lead); ok && !iv.Lo.IsNull() {
+			s.probeTo(record.NormalizeValue(nil, iv.Lo))
+			return true
+		}
+		return false
+	}
 
-		// Non-qualifying second column. If the second value is already at
-		// or past its set's upper bound, nothing further under this leading
-		// value can qualify: skip to the next leading value immediately.
-		if hi, bounded := s.secondSet.MaxHi(); bounded && record.Compare(second, hi) >= 0 {
-			s.probeTo(record.KeySuccessor(record.NormalizeValue(nil, lead)))
-			continue
-		}
-		// Otherwise the qualifying region may lie ahead within this
-		// leading value; scan adaptively, probing directly to the next
-		// second-column interval after a stretch of misses.
-		s.misses++
-		if s.misses >= s.ProbeThreshold {
-			if iv, ok := s.secondSet.NextFrom(second); ok && !iv.Lo.IsNull() {
-				target := record.NormalizeValue(nil, lead)
-				target = record.NormalizeValue(target, iv.Lo)
-				s.probeTo(target)
-			}
+	if s.secondSet.Contains(second) {
+		s.misses = 0
+		*cpu += CostEmit
+		b.commit(vals)
+		return true
+	}
+	if s.DisableProbes {
+		return true
+	}
+
+	// Non-qualifying second column. If the second value is already at
+	// or past its set's upper bound, nothing further under this leading
+	// value can qualify: skip to the next leading value immediately.
+	if hi, bounded := s.secondSet.MaxHi(); bounded && record.Compare(second, hi) >= 0 {
+		s.probeTo(record.KeySuccessor(record.NormalizeValue(nil, lead)))
+		return true
+	}
+	// Otherwise the qualifying region may lie ahead within this
+	// leading value; scan adaptively, probing directly to the next
+	// second-column interval after a stretch of misses.
+	s.misses++
+	if s.misses >= s.ProbeThreshold {
+		if iv, ok := s.secondSet.NextFrom(second); ok && !iv.Lo.IsNull() {
+			target := record.NormalizeValue(nil, lead)
+			target = record.NormalizeValue(target, iv.Lo)
+			s.probeTo(target)
 		}
 	}
-	return nil, false
+	return true
 }
 
 // probeTo re-seeks the cursor to the given key, preserving the overall
@@ -151,4 +178,8 @@ func (s *MDAMScan) probeTo(key []byte) {
 }
 
 // Close releases the cursor.
-func (s *MDAMScan) Close() { s.cur = nil }
+func (s *MDAMScan) Close() {
+	s.cur = nil
+	putBatch(s.batch)
+	s.batch = nil
+}

@@ -13,10 +13,11 @@ import (
 // unbeatable at tiny inputs, catastrophic at large ones, exactly the kind
 // of crossover structure the paper's maps exist to expose.
 type NestedLoopJoin struct {
-	ctx          *Ctx
-	outer, inner RowIter
-	outerKeys    []int
-	innerKeys    []int
+	ctx       *Ctx
+	outer     rowCursor
+	inner     RowIter
+	outerKeys []int
+	innerKeys []int
 
 	innerRows []Row
 	built     bool
@@ -24,6 +25,7 @@ type NestedLoopJoin struct {
 	haveOuter bool
 	pos       int
 	out       Row
+	rowOutput
 }
 
 // NewNestedLoopJoin constructs the join; inner is materialized on first
@@ -32,7 +34,7 @@ func NewNestedLoopJoin(ctx *Ctx, outer, inner RowIter, outerKeys, innerKeys []in
 	if len(outerKeys) != len(innerKeys) {
 		panic("exec: nested loop join key arity mismatch")
 	}
-	return &NestedLoopJoin{ctx: ctx, outer: outer, inner: inner,
+	return &NestedLoopJoin{ctx: ctx, outer: rowCursor{outer}, inner: inner,
 		outerKeys: outerKeys, innerKeys: innerKeys}
 }
 
@@ -57,18 +59,21 @@ func (j *NestedLoopJoin) match(o, i Row) bool {
 	return true
 }
 
-// Next returns the next joined row (outer columns then inner columns).
-func (j *NestedLoopJoin) Next() (Row, bool) {
+// NextBatch returns up to max joined rows (outer columns then inner
+// columns).
+func (j *NestedLoopJoin) NextBatch(max int) (*Batch, bool) { return j.fill(j.next, max) }
+
+func (j *NestedLoopJoin) next() (Row, bool) {
 	if !j.built {
 		j.build()
 	}
 	for {
 		if !j.haveOuter {
-			row, ok := j.outer.Next()
+			row, ok := j.outer.next()
 			if !ok {
 				return nil, false
 			}
-			j.curOuter = copyRowVals(row)
+			j.curOuter = cloneRow(row)
 			j.haveOuter = true
 			j.pos = 0
 		}
@@ -91,4 +96,5 @@ func (j *NestedLoopJoin) Next() (Row, bool) {
 func (j *NestedLoopJoin) Close() {
 	j.outer.Close()
 	j.inner.Close()
+	j.release()
 }

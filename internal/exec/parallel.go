@@ -49,8 +49,8 @@ func (s *RangedTableScan) Open() {
 	s.inner.pg = s.rng.Lo - 1
 }
 
-// Next returns the next matching row within the range.
-func (s *RangedTableScan) Next() (Row, bool) { return s.inner.Next() }
+// NextBatch returns up to max matching rows within the range.
+func (s *RangedTableScan) NextBatch(max int) (*Batch, bool) { return s.inner.NextBatch(max) }
 
 // Close releases the current pin.
 func (s *RangedTableScan) Close() { s.inner.Close() }

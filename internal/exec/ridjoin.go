@@ -23,7 +23,6 @@ type RIDMergeIntersect struct {
 	out         []storage.RID
 	pos         int
 	built       bool
-	driven      bool // consumed via NextRIDBatch; gather inputs in batches
 }
 
 // NewRIDMergeIntersect constructs the merge-based intersection. The two
@@ -40,32 +39,36 @@ func (j *RIDMergeIntersect) Open() {
 	j.right.Open()
 }
 
-func gatherRIDs(it RIDIter, batched bool) []storage.RID {
-	if b, ok := it.(RIDBatcher); batched && ok {
-		// Full drain either way: the producer's I/O order is unchanged,
-		// its per-entry charges are just summed per sub-batch.
-		var out []storage.RID
-		for {
-			rids, ok := b.NextRIDBatch(ridBatchCap)
-			if !ok {
-				return out
-			}
-			out = append(out, rids...)
-		}
-	}
+// gatherRIDs drains a RID input. Both intersections consume their inputs
+// completely before producing anything, so they pull full sub-batches.
+func gatherRIDs(it RIDIter) []storage.RID {
 	var out []storage.RID
 	for {
-		rid, ok := it.Next()
+		rids, ok := it.NextRIDBatch(ridBatchCap)
 		if !ok {
 			return out
 		}
-		out = append(out, rid)
+		out = append(out, rids...)
 	}
 }
 
+// serveRIDs hands out the next up to max RIDs of a materialized result.
+func serveRIDs(out []storage.RID, pos *int, max int) ([]storage.RID, bool) {
+	if *pos >= len(out) {
+		return nil, false
+	}
+	end := *pos + max
+	if end > len(out) {
+		end = len(out)
+	}
+	rids := out[*pos:end]
+	*pos = end
+	return rids, true
+}
+
 func (j *RIDMergeIntersect) build() {
-	l := gatherRIDs(j.left, j.driven)
-	r := gatherRIDs(j.right, j.driven)
+	l := gatherRIDs(j.left)
+	r := gatherRIDs(j.right)
 	sortRIDs(j.ctx, l)
 	sortRIDs(j.ctx, r)
 	// Merge, charging one comparison per step.
@@ -96,40 +99,14 @@ func sortRIDs(ctx *Ctx, rids []storage.RID) {
 	ctx.ChargeCPU(simclock.AccountSort, CostRIDCompare, int64(n)*int64(bits.Len(uint(n))))
 }
 
-// Next returns the next common RID in physical order.
-func (j *RIDMergeIntersect) Next() (storage.RID, bool) {
-	if !j.built {
-		j.build()
-	}
-	if j.pos >= len(j.out) {
-		return storage.RID{}, false
-	}
-	rid := j.out[j.pos]
-	j.pos++
-	return rid, true
-}
-
-// NextRIDBatch serves the materialized intersection in slices of up to max
-// RIDs. Emission charges nothing (matching Next); the intersection itself
-// was charged during build.
+// NextRIDBatch serves the materialized intersection, in physical order, in
+// slices of up to max RIDs. Emission charges nothing; the intersection
+// itself was charged during build.
 func (j *RIDMergeIntersect) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if !j.built {
-		j.driven = true
 		j.build()
 	}
-	if j.pos >= len(j.out) {
-		return nil, false
-	}
-	if max <= 0 || max > ridBatchCap {
-		max = ridBatchCap
-	}
-	end := j.pos + max
-	if end > len(j.out) {
-		end = len(j.out)
-	}
-	out := j.out[j.pos:end]
-	j.pos = end
-	return out, true
+	return serveRIDs(j.out, &j.pos, max)
 }
 
 // Close closes both inputs.
@@ -155,7 +132,6 @@ type RIDHashIntersect struct {
 	out          []storage.RID
 	pos          int
 	built        bool
-	driven       bool
 }
 
 // ridHashFanOut is the grace-partitioning fan-out.
@@ -175,8 +151,8 @@ func (j *RIDHashIntersect) Open() {
 }
 
 func (j *RIDHashIntersect) run() {
-	b := gatherRIDs(j.build, j.driven)
-	p := gatherRIDs(j.probe, j.driven)
+	b := gatherRIDs(j.build)
+	p := gatherRIDs(j.probe)
 	j.intersect(b, p, 0)
 	j.built = true
 }
@@ -249,39 +225,13 @@ func ridHash(rid storage.RID, level int) uint64 {
 	return h
 }
 
-// Next returns the next intersecting RID.
-func (j *RIDHashIntersect) Next() (storage.RID, bool) {
-	if !j.built {
-		j.run()
-	}
-	if j.pos >= len(j.out) {
-		return storage.RID{}, false
-	}
-	rid := j.out[j.pos]
-	j.pos++
-	return rid, true
-}
-
 // NextRIDBatch serves the materialized intersection in slices of up to max
 // RIDs.
 func (j *RIDHashIntersect) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if !j.built {
-		j.driven = true
 		j.run()
 	}
-	if j.pos >= len(j.out) {
-		return nil, false
-	}
-	if max <= 0 || max > ridBatchCap {
-		max = ridBatchCap
-	}
-	end := j.pos + max
-	if end > len(j.out) {
-		end = len(j.out)
-	}
-	out := j.out[j.pos:end]
-	j.pos = end
-	return out, true
+	return serveRIDs(j.out, &j.pos, max)
 }
 
 // Close closes both inputs.

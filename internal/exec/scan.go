@@ -26,9 +26,8 @@ type TableScan struct {
 	sp         storage.SlottedPage
 	havePage   bool // sp is valid and pg is pinned
 	open       bool
-	row        Row
 
-	batch *Batch // batch-mode output buffer
+	batch *Batch // output buffer
 	eof   bool   // a partial final batch was emitted; next NextBatch ends
 }
 
@@ -49,76 +48,11 @@ func (s *TableScan) Open() {
 	s.eof = false
 }
 
-// Next returns the next matching row.
-func (s *TableScan) Next() (Row, bool) {
-	if !s.open {
-		panic("exec: Next on unopened TableScan")
-	}
-	for {
-		if s.havePage && s.slot+1 < s.sp.NumSlots() {
-			s.slot++
-			rec, ok := s.sp.Get(storage.Slot(s.slot))
-			if !ok {
-				continue
-			}
-			if row, ok := s.decodeAndFilter(rec); ok {
-				return row, true
-			}
-			continue
-		}
-		// Advance to the next page, prefetching in device units.
-		if s.havePage {
-			s.ctx.Pool.Unpin(s.table.Heap.File(), s.pg)
-			s.havePage = false
-		}
-		s.pg++
-		if s.pg >= s.pages {
-			s.open = false
-			return nil, false
-		}
-		if s.pg >= s.prefetched {
-			k := storage.PageNo(s.ctx.Pool.PrefetchUnit())
-			if rem := s.pages - s.pg; rem < k {
-				k = rem
-			}
-			s.ctx.Pool.Prefetch(s.table.Heap.File(), s.pg, int(k))
-			s.prefetched = s.pg + k
-		}
-		data := s.ctx.Pool.Get(s.table.Heap.File(), s.pg)
-		s.sp = storage.AsSlotted(data)
-		s.havePage = true
-		s.slot = -1
-	}
-}
-
-func (s *TableScan) decodeAndFilter(rec []byte) (Row, bool) {
-	payload := rec
-	if s.table.Versioned != nil {
-		h, p := mvcc.DecodeHeader(rec)
-		if !s.ctx.Snap.Visible(h) {
-			return nil, false
-		}
-		payload = p
-	}
-	s.ctx.ChargeCPU(simclock.AccountCPU, CostRowDecode, 1)
-	s.row = s.row[:0]
-	var err error
-	s.row, _, err = s.table.Schema.Decode(payload, s.row)
-	if err != nil {
-		panic("exec: corrupt row in table scan: " + err.Error())
-	}
-	if !MatchesAll(s.ctx, s.preds, s.row) {
-		return nil, false
-	}
-	s.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
-	return s.row, true
-}
-
-// NextBatch returns the next batch of matching rows. The page-access
-// sequence (prefetch declarations, Get/Unpin pairs, pin lifetimes across
-// calls) is identical to row-at-a-time iteration; only the CPU charges are
-// summed per batch.
-func (s *TableScan) NextBatch() (*Batch, bool) {
+// NextBatch returns the next batch of up to max matching rows, stopping at
+// the slot that fills it. The page-access sequence (prefetch declarations,
+// Get/Unpin pairs, pin lifetimes across calls) is therefore the same at
+// any bound; only the CPU charges are summed per batch.
+func (s *TableScan) NextBatch(max int) (*Batch, bool) {
 	if !s.open {
 		panic("exec: NextBatch on unopened TableScan")
 	}
@@ -132,16 +66,17 @@ func (s *TableScan) NextBatch() (*Batch, bool) {
 	b := s.batch
 	b.reset()
 	var cpu time.Duration
-	for b.n < BatchCapacity {
+	for b.n < max {
 		if s.havePage && s.slot+1 < s.sp.NumSlots() {
 			s.slot++
 			rec, ok := s.sp.Get(storage.Slot(s.slot))
 			if !ok {
 				continue
 			}
-			s.decodeAndFilterBatch(rec, b, &cpu)
+			decodeRow(s.ctx, s.table, rec, s.preds, b, &cpu)
 			continue
 		}
+		// Advance to the next page, prefetching in device units.
 		if s.havePage {
 			s.ctx.Pool.Unpin(s.table.Heap.File(), s.pg)
 			s.havePage = false
@@ -172,31 +107,33 @@ func (s *TableScan) NextBatch() (*Batch, bool) {
 	return b, true
 }
 
-// decodeAndFilterBatch is decodeAndFilter for batch mode: the row is decoded
-// into the batch (arena-backed, allocation-free in steady state) and CPU
-// costs accumulate into cpu.
-func (s *TableScan) decodeAndFilterBatch(rec []byte, b *Batch, cpu *time.Duration) {
+// decodeRow decodes one stored record of t into the batch — visibility
+// check, arena-backed decode (allocation-free in steady state), residual
+// predicates — committing it if it qualifies. CPU costs accumulate into
+// cpu. Shared by the table scan and every fetch strategy.
+func decodeRow(ctx *Ctx, t *catalog.Table, rec []byte, preds []ColPred, b *Batch, cpu *time.Duration) bool {
 	payload := rec
-	if s.table.Versioned != nil {
+	if t.Versioned != nil {
 		h, p := mvcc.DecodeHeader(rec)
-		if !s.ctx.Snap.Visible(h) {
-			return
+		if !ctx.Snap.Visible(h) {
+			return false
 		}
 		payload = p
 	}
 	*cpu += CostRowDecode
 	row := b.rowBuf()
 	var err error
-	row, b.arena, _, err = s.table.Schema.DecodeArena(payload, row, b.arena)
+	row, b.arena, _, err = t.Schema.DecodeArena(payload, row, b.arena)
 	if err != nil {
-		panic("exec: corrupt row in table scan: " + err.Error())
+		panic("exec: corrupt row in table " + t.Name + ": " + err.Error())
 	}
-	if !matchesAllTally(s.preds, row, cpu) {
+	if !matchesAll(preds, row, cpu) {
 		b.store(row)
-		return
+		return false
 	}
 	*cpu += CostEmit
 	b.commit(row)
+	return true
 }
 
 // Close releases the current page pin.
@@ -231,19 +168,9 @@ func NewIndexRangeScan(ctx *Ctx, ix *catalog.Index, lo, hi []byte) *IndexRangeSc
 // Open seeks to the start of the range.
 func (s *IndexRangeScan) Open() { s.cur = s.ix.Tree.Seek(s.lo, s.hi) }
 
-// Next returns the next RID in key order.
-func (s *IndexRangeScan) Next() (storage.RID, bool) {
-	if !s.cur.Next() {
-		return storage.RID{}, false
-	}
-	s.ctx.ChargeCPU(simclock.AccountCPU, CostIndexEntry, 1)
-	return catalog.DecodeRIDSuffix(s.cur.Key()), true
-}
-
 // NextRIDBatch returns up to max RIDs in key order, charging the per-entry
-// CPU cost once per batch. The cursor performs its leaf-page I/O in the
-// same order as row-at-a-time Next calls; the bound lets budgeted consumers
-// stop that I/O at exactly the entry row-at-a-time consumption would.
+// CPU cost once per batch. The cursor reads no leaf page beyond the last
+// entry returned, so its I/O stops exactly where the consumer's bound does.
 func (s *IndexRangeScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if max <= 0 || max > ridBatchCap {
 		max = ridBatchCap
@@ -276,7 +203,6 @@ type CoveringIndexScan struct {
 	types []record.Type
 	preds []ColPred // ordinals refer to the index's column list
 	cur   *btree.Cursor
-	row   Row
 	batch *Batch
 	eof   bool
 }
@@ -299,28 +225,10 @@ func (s *CoveringIndexScan) Open() {
 	s.eof = false
 }
 
-// Next returns the next matching index row (the key columns, in index
-// column order).
-func (s *CoveringIndexScan) Next() (Row, bool) {
-	for s.cur.Next() {
-		s.ctx.ChargeCPU(simclock.AccountCPU, CostIndexEntry, 1)
-		key := s.cur.Key()
-		vals, err := record.Denormalize(key[:len(key)-catalog.RIDSuffixLen], s.types)
-		if err != nil {
-			panic("exec: corrupt index key: " + err.Error())
-		}
-		s.row = vals
-		if MatchesAll(s.ctx, s.preds, s.row) {
-			s.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
-			return s.row, true
-		}
-	}
-	return nil, false
-}
-
-// NextBatch returns the next batch of matching index rows, denormalizing
-// key columns directly into the batch and summing CPU charges per batch.
-func (s *CoveringIndexScan) NextBatch() (*Batch, bool) {
+// NextBatch returns the next batch of up to max matching index rows (the
+// key columns, in index column order), denormalizing them directly into
+// the batch and summing CPU charges per batch.
+func (s *CoveringIndexScan) NextBatch(max int) (*Batch, bool) {
 	if s.eof {
 		return nil, false
 	}
@@ -330,7 +238,7 @@ func (s *CoveringIndexScan) NextBatch() (*Batch, bool) {
 	b := s.batch
 	b.reset()
 	var cpu time.Duration
-	for b.n < BatchCapacity {
+	for b.n < max {
 		if !s.cur.Next() {
 			s.eof = true
 			break
@@ -341,7 +249,7 @@ func (s *CoveringIndexScan) NextBatch() (*Batch, bool) {
 		if err != nil {
 			panic("exec: corrupt index key: " + err.Error())
 		}
-		if !matchesAllTally(s.preds, row, &cpu) {
+		if !matchesAll(s.preds, row, &cpu) {
 			b.store(row)
 			continue
 		}

@@ -22,14 +22,8 @@ func TestCoveringIndexScanMatchesModel(t *testing.T) {
 func TestCoveringIndexScanEmitsKeyColumns(t *testing.T) {
 	e := newTestEnv(t, 503)
 	s := NewCoveringIndexScan(e.ctx, e.ixAB, nil, e.ixAB.PrefixFor(record.Int(10)), nil)
-	s.Open()
-	defer s.Close()
 	var prev int64 = -1
-	for {
-		row, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, row := range collectRows(s) {
 		if len(row) != 2 {
 			t.Fatalf("covering row has %d columns, want 2", len(row))
 		}
@@ -78,13 +72,7 @@ func TestIndexKeyFilterScanRIDsPointAtMatchingRows(t *testing.T) {
 	e := newTestEnv(t, 503)
 	s := NewIndexKeyFilterScan(e.ctx, e.ixAB, nil, e.ixAB.PrefixFor(record.Int(200)),
 		[]ColPred{{Col: 1, Hi: record.Int(100)}})
-	s.Open()
-	defer s.Close()
-	for {
-		rid, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, rid := range collectRIDs(s) {
 		rec, found := e.tbl.Heap.Fetch(rid)
 		if !found {
 			t.Fatalf("RID %v dangling", rid)

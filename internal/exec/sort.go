@@ -46,7 +46,7 @@ func (p SpillPolicy) String() string {
 // from the context.
 type Sort struct {
 	ctx    *Ctx
-	input  RowIter
+	input  rowCursor
 	schema *record.Schema
 	keys   []int
 	policy SpillPolicy
@@ -56,15 +56,16 @@ type Sort struct {
 	memPos   int
 	merger   *runMerger
 	rowBytes int
+	rowOutput
 }
 
 // NewSort constructs a sort on the given key column ordinals.
 func NewSort(ctx *Ctx, input RowIter, schema *record.Schema, keys []int, policy SpillPolicy) *Sort {
-	return &Sort{ctx: ctx, input: input, schema: schema, keys: keys, policy: policy,
+	return &Sort{ctx: ctx, input: rowCursor{input}, schema: schema, keys: keys, policy: policy,
 		rowBytes: schema.EncodedSizeEstimate()}
 }
 
-// Open opens the input; sorting is deferred to the first Next.
+// Open opens the input; sorting is deferred to the first pull.
 func (s *Sort) Open() { s.input.Open() }
 
 func (s *Sort) compare(a, b Row) int {
@@ -89,11 +90,6 @@ func (s *Sort) build() {
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	copyRow := func(r Row) Row {
-		out := make(Row, len(r))
-		copy(out, r)
-		return out
-	}
 	spill := func(rows []Row) spillRun {
 		s.sortRows(rows)
 		w := newRunWriter(s.ctx, s.schema)
@@ -103,23 +99,27 @@ func (s *Sort) build() {
 		return w.finish()
 	}
 
+	// Input is taken a row at a time: run writes interleave with the
+	// input's own page reads, and the device model prices that
+	// interleaving. Every row is kept past the next pull, so it is cloned.
+	//
 	// Phase 1: fill memory. Once the input reports exhaustion it must
-	// not see another Next (scan operators treat that as a contract
+	// not be pulled again (scan operators treat that as a contract
 	// violation), so the overflow probe runs only on a full buffer.
 	buf := make([]Row, 0, 1024)
 	overflowRow, overflowed := Row(nil), false
 	exhausted := false
 	for int64(len(buf)) < maxRows {
-		row, ok := s.input.Next()
+		row, ok := s.input.next()
 		if !ok {
 			exhausted = true
 			break
 		}
-		buf = append(buf, copyRow(row))
+		buf = append(buf, cloneRow(row))
 	}
 	if !exhausted {
-		if r, ok := s.input.Next(); ok {
-			overflowRow, overflowed = copyRow(r), true
+		if r, ok := s.input.next(); ok {
+			overflowRow, overflowed = cloneRow(r), true
 		}
 	}
 	if !overflowed {
@@ -141,11 +141,11 @@ func (s *Sort) build() {
 		}
 		chunk := []Row{overflowRow}
 		for {
-			row, ok := s.input.Next()
+			row, ok := s.input.next()
 			if !ok {
 				break
 			}
-			chunk = append(chunk, copyRow(row))
+			chunk = append(chunk, cloneRow(row))
 			if int64(len(chunk)) >= chunkSize {
 				runs = append(runs, spill(chunk))
 				chunk = chunk[:0]
@@ -164,11 +164,11 @@ func (s *Sort) build() {
 	runs = append(runs, spill(buf))
 	buf = []Row{overflowRow}
 	for {
-		row, ok := s.input.Next()
+		row, ok := s.input.next()
 		if !ok {
 			break
 		}
-		buf = append(buf, copyRow(row))
+		buf = append(buf, cloneRow(row))
 		if int64(len(buf)) >= maxRows {
 			runs = append(runs, spill(buf))
 			buf = buf[:0]
@@ -180,8 +180,10 @@ func (s *Sort) build() {
 	s.merger = newRunMerger(s.ctx, s, runs, nil)
 }
 
-// Next returns rows in ascending key order.
-func (s *Sort) Next() (Row, bool) {
+// NextBatch returns up to max rows in ascending key order.
+func (s *Sort) NextBatch(max int) (*Batch, bool) { return s.fill(s.next, max) }
+
+func (s *Sort) next() (Row, bool) {
 	if !s.built {
 		s.build()
 	}
@@ -203,6 +205,7 @@ func (s *Sort) Close() {
 	if s.merger != nil {
 		s.merger.drop()
 	}
+	s.release()
 }
 
 // runMerger is a k-way merge over spilled runs plus an optional in-memory

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"robustmap/internal/record"
+	"robustmap/internal/storage"
 )
 
 func sortInput(n int, seed int64) (*SliceRows, *record.Schema) {
@@ -23,14 +24,13 @@ func sortInput(n int, seed int64) (*SliceRows, *record.Schema) {
 func collectRows(it RowIter) []Row {
 	it.Open()
 	defer it.Close()
-	var out []Row
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, copyRowVals(row))
-	}
+	return gatherRows(it)
+}
+
+func collectRIDs(it RIDIter) []storage.RID {
+	it.Open()
+	defer it.Close()
+	return gatherRIDs(it)
 }
 
 func assertSorted(t *testing.T, rows []Row, n int) {

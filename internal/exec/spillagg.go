@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"robustmap/internal/record"
 	"robustmap/internal/simclock"
 )
@@ -22,6 +24,7 @@ type SpillingHashAggregate struct {
 	results []Row
 	pos     int
 	built   bool
+	rowOutput
 	// Spilled reports whether any partitioning happened (for tests).
 	Spilled bool
 }
@@ -81,7 +84,7 @@ func (a *SpillingHashAggregate) aggregate(rows []Row, level int) {
 	if overflowAt < 0 {
 		sortStrings(order)
 		for _, key := range order {
-			a.results = append(a.results, renderAggRow(groups[key], a.aggs))
+			a.results = append(a.results, renderAggRow(nil, groups[key], a.aggs))
 		}
 		return
 	}
@@ -115,6 +118,9 @@ func (a *SpillingHashAggregate) aggregate(rows []Row, level int) {
 	}
 }
 
+// newAggState starts a group at row. Group keys and MIN/MAX state outlive
+// the row they were read from, which may alias its batch's arena, so they
+// are cloned.
 func newAggState(row Row, groupBy []int, aggs []AggSpec) *aggState {
 	st := &aggState{
 		counts: make([]int64, len(aggs)),
@@ -123,7 +129,7 @@ func newAggState(row Row, groupBy []int, aggs []AggSpec) *aggState {
 		maxs:   make([]record.Value, len(aggs)),
 	}
 	for _, g := range groupBy {
-		st.groupVals = append(st.groupVals, row[g])
+		st.groupVals = append(st.groupVals, row[g].Clone())
 	}
 	return st
 }
@@ -136,37 +142,43 @@ func accumulateInto(st *aggState, row Row, aggs []AggSpec) {
 			st.sums[i] += row[spec.Col].AsFloat()
 		case AggMin:
 			if st.mins[i].IsNull() || record.Compare(row[spec.Col], st.mins[i]) < 0 {
-				st.mins[i] = row[spec.Col]
+				st.mins[i] = row[spec.Col].Clone()
 			}
 		case AggMax:
 			if st.maxs[i].IsNull() || record.Compare(row[spec.Col], st.maxs[i]) > 0 {
-				st.maxs[i] = row[spec.Col]
+				st.maxs[i] = row[spec.Col].Clone()
 			}
 		}
 	}
 }
 
-func renderAggRow(st *aggState, aggs []AggSpec) Row {
-	out := append(Row{}, st.groupVals...)
+// renderAggRow appends a group's output row to dst: the group-by values
+// followed by the aggregate values.
+func renderAggRow(dst Row, st *aggState, aggs []AggSpec) Row {
+	dst = append(dst, st.groupVals...)
 	for i, spec := range aggs {
 		switch spec.Kind {
 		case AggCount:
-			out = append(out, record.Int(st.counts[i]))
+			dst = append(dst, record.Int(st.counts[i]))
 		case AggSum:
-			out = append(out, record.Float(st.sums[i]))
+			dst = append(dst, record.Float(st.sums[i]))
 		case AggMin:
-			out = append(out, st.mins[i])
+			dst = append(dst, st.mins[i])
 		case AggMax:
-			out = append(out, st.maxs[i])
+			dst = append(dst, st.maxs[i])
+		default:
+			panic(fmt.Sprintf("exec: unknown aggregate %d", spec.Kind))
 		}
 	}
-	return out
+	return dst
 }
 
-// Next returns the next group row. Output order is deterministic within
-// each partition (normalized key order) but partitions concatenate in
-// hash order when spilling occurred.
-func (a *SpillingHashAggregate) Next() (Row, bool) {
+// NextBatch returns up to max group rows. Output order is deterministic
+// within each partition (normalized key order) but partitions concatenate
+// in hash order when spilling occurred.
+func (a *SpillingHashAggregate) NextBatch(max int) (*Batch, bool) { return a.fill(a.next, max) }
+
+func (a *SpillingHashAggregate) next() (Row, bool) {
 	if !a.built {
 		a.build()
 	}
@@ -180,4 +192,7 @@ func (a *SpillingHashAggregate) Next() (Row, bool) {
 }
 
 // Close closes the input.
-func (a *SpillingHashAggregate) Close() { a.input.Close() }
+func (a *SpillingHashAggregate) Close() {
+	a.input.Close()
+	a.release()
+}

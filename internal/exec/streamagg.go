@@ -14,23 +14,20 @@ import (
 // next).
 type StreamAggregate struct {
 	ctx     *Ctx
-	input   RowIter
+	input   rowCursor
 	groupBy []int
 	aggs    []AggSpec
 
 	cur       *aggState
-	pending   Row
-	havePend  bool
 	exhausted bool
 	out       Row
-	batch     *Batch
-	eof       bool
+	rowOutput
 }
 
 // NewStreamAggregate constructs the streaming aggregate; the input must be
 // sorted on the group-by columns (wrap it in Sort if it is not).
 func NewStreamAggregate(ctx *Ctx, input RowIter, groupBy []int, aggs []AggSpec) *StreamAggregate {
-	return &StreamAggregate{ctx: ctx, input: input, groupBy: groupBy, aggs: aggs}
+	return &StreamAggregate{ctx: ctx, input: rowCursor{input}, groupBy: groupBy, aggs: aggs}
 }
 
 // Open opens the input.
@@ -56,120 +53,57 @@ func indexOf(xs []int, v int) int {
 }
 
 func (a *StreamAggregate) startGroup(row Row) {
-	a.cur = &aggState{
-		counts: make([]int64, len(a.aggs)),
-		sums:   make([]float64, len(a.aggs)),
-		mins:   make([]record.Value, len(a.aggs)),
-		maxs:   make([]record.Value, len(a.aggs)),
-	}
-	for _, g := range a.groupBy {
-		a.cur.groupVals = append(a.cur.groupVals, row[g])
-	}
-	a.accumulate(row)
-}
-
-func (a *StreamAggregate) accumulate(row Row) {
-	for i, spec := range a.aggs {
-		a.cur.counts[i]++
-		switch spec.Kind {
-		case AggSum:
-			a.cur.sums[i] += row[spec.Col].AsFloat()
-		case AggMin:
-			if a.cur.mins[i].IsNull() || record.Compare(row[spec.Col], a.cur.mins[i]) < 0 {
-				a.cur.mins[i] = row[spec.Col]
-			}
-		case AggMax:
-			if a.cur.maxs[i].IsNull() || record.Compare(row[spec.Col], a.cur.maxs[i]) > 0 {
-				a.cur.maxs[i] = row[spec.Col]
-			}
-		}
-	}
+	a.cur = newAggState(row, a.groupBy, a.aggs)
+	accumulateInto(a.cur, row, a.aggs)
 }
 
 // emit renders the current group's output row.
 func (a *StreamAggregate) emit() Row {
-	a.out = a.out[:0]
-	a.out = append(a.out, a.cur.groupVals...)
-	for i, spec := range a.aggs {
-		switch spec.Kind {
-		case AggCount:
-			a.out = append(a.out, record.Int(a.cur.counts[i]))
-		case AggSum:
-			a.out = append(a.out, record.Float(a.cur.sums[i]))
-		case AggMin:
-			a.out = append(a.out, a.cur.mins[i])
-		case AggMax:
-			a.out = append(a.out, a.cur.maxs[i])
-		}
-	}
+	a.out = renderAggRow(a.out[:0], a.cur, a.aggs)
 	a.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
 	return a.out
 }
 
-// Next returns the next completed group.
-func (a *StreamAggregate) Next() (Row, bool) {
+// next returns the next completed group. The input is consumed a row at a
+// time: its canonical producer is a Sort, whose merge reads interleave with
+// this operator's pulls, and per-group comparison charges follow the exact
+// short-circuit counts.
+func (a *StreamAggregate) next() (Row, bool) {
 	if a.exhausted {
 		return nil, false
 	}
 	// Seed the first group.
 	if a.cur == nil {
-		var row Row
-		var ok bool
-		if a.havePend {
-			row, ok = a.pending, true
-			a.havePend = false
-		} else {
-			row, ok = a.input.Next()
-		}
+		row, ok := a.input.next()
 		if !ok {
 			a.exhausted = true
 			return nil, false
 		}
-		a.startGroup(copyRowVals(row))
+		a.startGroup(row)
 	}
 	for {
-		row, ok := a.input.Next()
+		row, ok := a.input.next()
 		if !ok {
 			a.exhausted = true
 			return a.emit(), true
 		}
 		if a.sameGroup(row) {
-			a.accumulate(row)
+			accumulateInto(a.cur, row, a.aggs)
 			continue
 		}
-		// Group boundary: emit the finished group, stash the new row.
+		// Group boundary: emit the finished group and start the next one
+		// from the row that ended it.
 		out := a.emit()
-		a.pending = copyRowVals(row)
-		a.havePend = true
-		a.cur = nil
-		// Prepare next group lazily on the following Next call.
-		a.startGroup(a.pending)
-		a.havePend = false
+		a.startGroup(row)
 		return out, true
 	}
 }
 
-// NextBatch returns completed groups in batches. The input is consumed
-// row-at-a-time: the canonical input of a streaming aggregate is a Sort,
-// which is row-only, and per-group comparison charges must follow the exact
-// short-circuit counts of the row path anyway.
-func (a *StreamAggregate) NextBatch() (*Batch, bool) {
-	if a.eof {
-		return nil, false
-	}
-	if a.batch == nil {
-		a.batch = getBatch()
-	}
-	a.eof = a.batch.fillFromRows(func() (Row, bool) { return a.Next() })
-	if a.batch.n == 0 {
-		return nil, false
-	}
-	return a.batch, true
-}
+// NextBatch returns up to max completed groups.
+func (a *StreamAggregate) NextBatch(max int) (*Batch, bool) { return a.fill(a.next, max) }
 
 // Close closes the input.
 func (a *StreamAggregate) Close() {
 	a.input.Close()
-	putBatch(a.batch)
-	a.batch = nil
+	a.release()
 }

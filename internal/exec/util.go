@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"time"
 
 	"robustmap/internal/record"
@@ -10,15 +9,10 @@ import (
 
 // Filter applies a predicate conjunction to its input.
 type Filter struct {
-	ctx   *Ctx
-	input RowIter
-	preds []ColPred
-
-	bsrc   BatchOperator // batch-mode input, nil if input is row-only
-	bInit  bool
-	batch  *Batch  // own buffer when adapting a row-only input
+	ctx    *Ctx
+	input  RowIter
+	preds  []ColPred
 	selBuf []int32 // selection storage installed on input batches
-	eof    bool
 }
 
 // NewFilter constructs a filter.
@@ -29,61 +23,28 @@ func NewFilter(ctx *Ctx, input RowIter, preds []ColPred) *Filter {
 // Open opens the input.
 func (f *Filter) Open() { f.input.Open() }
 
-// Next returns the next matching row.
-func (f *Filter) Next() (Row, bool) {
+// NextBatch returns the next non-empty batch of matching rows. The filter
+// does no I/O of its own, so it hands its consumer's bound down unchanged
+// and installs a selection vector on the input's batch (no row copies);
+// batches whose rows are all eliminated are skipped, so consumers never see
+// an empty batch. Predicate charges use the exact short-circuit counts.
+func (f *Filter) NextBatch(max int) (*Batch, bool) {
 	for {
-		row, ok := f.input.Next()
+		b, ok := f.input.NextBatch(max)
 		if !ok {
-			return nil, false
-		}
-		if MatchesAll(f.ctx, f.preds, row) {
-			return row, true
-		}
-	}
-}
-
-// NextBatch returns the next non-empty batch of matching rows. When the
-// input is batch-capable the filter installs a selection vector on the
-// input's batch (no row copies); batches whose rows are all eliminated are
-// skipped, so consumers never see an empty batch. Predicate charges use the
-// exact short-circuit counts of row-at-a-time evaluation.
-func (f *Filter) NextBatch() (*Batch, bool) {
-	if !f.bInit {
-		f.bsrc, _ = f.input.(BatchOperator)
-		f.bInit = true
-	}
-	if f.eof {
-		return nil, false
-	}
-	if f.bsrc == nil {
-		// Row-only input: the filter's own row path already applies the
-		// predicates; batch it up.
-		if f.batch == nil {
-			f.batch = getBatch()
-		}
-		f.eof = f.batch.fillFromRows(f.Next)
-		if f.batch.n == 0 {
-			return nil, false
-		}
-		return f.batch, true
-	}
-	for {
-		b, ok := f.bsrc.NextBatch()
-		if !ok {
-			f.eof = true
 			return nil, false
 		}
 		var cpu time.Duration
 		sel := f.selBuf[:0]
 		if b.sel == nil {
 			for i := 0; i < b.n; i++ {
-				if matchesAllTally(f.preds, b.rows[i], &cpu) {
+				if matchesAll(f.preds, b.rows[i], &cpu) {
 					sel = append(sel, int32(i))
 				}
 			}
 		} else {
 			for _, i := range b.sel {
-				if matchesAllTally(f.preds, b.rows[i], &cpu) {
+				if matchesAll(f.preds, b.rows[i], &cpu) {
 					sel = append(sel, i)
 				}
 			}
@@ -99,23 +60,14 @@ func (f *Filter) NextBatch() (*Batch, bool) {
 }
 
 // Close closes the input.
-func (f *Filter) Close() {
-	f.input.Close()
-	putBatch(f.batch)
-	f.batch = nil
-}
+func (f *Filter) Close() { f.input.Close() }
 
 // Project narrows rows to the given column ordinals.
 type Project struct {
 	ctx   *Ctx
 	input RowIter
 	cols  []int
-	out   Row
-
-	bsrc  BatchOperator
-	bInit bool
 	batch *Batch
-	eof   bool
 }
 
 // NewProject constructs a projection.
@@ -126,53 +78,17 @@ func NewProject(ctx *Ctx, input RowIter, cols []int) *Project {
 // Open opens the input.
 func (p *Project) Open() { p.input.Open() }
 
-// Next returns the next projected row.
-func (p *Project) Next() (Row, bool) {
-	row, ok := p.input.Next()
+// NextBatch returns the next batch of projected rows, one per input row at
+// the consumer's bound. Projected values are struct copies that may alias
+// the input batch's arena; the input batch stays valid until this
+// operator's next NextBatch call, so the lifetimes coincide.
+func (p *Project) NextBatch(max int) (*Batch, bool) {
+	in, ok := p.input.NextBatch(max)
 	if !ok {
-		return nil, false
-	}
-	p.out = p.out[:0]
-	for _, c := range p.cols {
-		p.out = append(p.out, row[c])
-	}
-	p.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
-	return p.out, true
-}
-
-// NextBatch returns the next batch of projected rows. Projected values are
-// struct copies that may alias the input batch's arena; the input batch
-// stays valid until this operator's next NextBatch call, so the lifetimes
-// coincide.
-func (p *Project) NextBatch() (*Batch, bool) {
-	if !p.bInit {
-		p.bsrc, _ = p.input.(BatchOperator)
-		p.bInit = true
-	}
-	if p.eof {
 		return nil, false
 	}
 	if p.batch == nil {
 		p.batch = getBatch()
-	}
-	if p.bsrc == nil {
-		p.eof = p.batch.fillFromRows(p.Next)
-		if p.batch.n == 0 {
-			return nil, false
-		}
-		return p.batch, true
-	}
-	var in *Batch
-	for {
-		var ok bool
-		in, ok = p.bsrc.NextBatch()
-		if !ok {
-			p.eof = true
-			return nil, false
-		}
-		if in.Len() > 0 {
-			break
-		}
 	}
 	out := p.batch
 	out.reset()
@@ -201,12 +117,6 @@ type Limit struct {
 	input RowIter
 	n     int64
 	seen  int64
-
-	bsrc   BatchOperator
-	bInit  bool
-	batch  *Batch
-	selBuf []int32
-	eof    bool
 }
 
 // NewLimit constructs a limit.
@@ -215,97 +125,52 @@ func NewLimit(input RowIter, n int64) *Limit { return &Limit{input: input, n: n}
 // Open opens the input.
 func (l *Limit) Open() {
 	l.seen = 0
-	l.eof = false
 	l.input.Open()
 }
 
-// Next returns the next row while under the limit.
-func (l *Limit) Next() (Row, bool) {
-	if l.seen >= l.n {
+// NextBatch returns the next batch while under the limit. It never asks
+// its input for more rows than it still wants, so the subtree below does
+// exactly the work the limited result needs and no batch has to be cut.
+func (l *Limit) NextBatch(max int) (*Batch, bool) {
+	if want := l.n - l.seen; want < int64(max) {
+		max = int(want)
+	}
+	if max <= 0 {
 		return nil, false
 	}
-	row, ok := l.input.Next()
+	b, ok := l.input.NextBatch(max)
 	if !ok {
 		return nil, false
 	}
-	l.seen++
-	return row, true
-}
-
-// NextBatch returns the next batch, cutting the final batch mid-way when
-// the limit lands inside it (the cut truncates the selection vector; no
-// rows are copied). A batch-mode producer may have read ahead within the
-// batch the limit cuts — that read-ahead is real work the engine performed,
-// exactly as in any vectorized system; row-at-a-time consumption (Next)
-// remains available when demand-exact semantics matter.
-func (l *Limit) NextBatch() (*Batch, bool) {
-	if !l.bInit {
-		l.bsrc, _ = l.input.(BatchOperator)
-		l.bInit = true
-	}
-	if l.eof || l.seen >= l.n {
-		return nil, false
-	}
-	if l.bsrc == nil {
-		if l.batch == nil {
-			l.batch = getBatch()
-		}
-		l.eof = l.batch.fillFromRows(l.Next)
-		if l.batch.n == 0 {
-			return nil, false
-		}
-		return l.batch, true
-	}
-	b, ok := l.bsrc.NextBatch()
-	if !ok {
-		l.eof = true
-		return nil, false
-	}
-	remaining := l.n - l.seen
-	live := int64(b.Len())
-	if live <= remaining {
-		l.seen += live
-		return b, true
-	}
-	// Cut mid-batch: keep only the first `remaining` live rows.
-	if b.sel != nil {
-		b.sel = b.sel[:remaining]
-	} else {
-		sel := l.selBuf[:0]
-		for i := int64(0); i < remaining; i++ {
-			sel = append(sel, int32(i))
-		}
-		l.selBuf = sel
-		b.sel = sel
-	}
-	l.seen = l.n
+	l.seen += int64(b.Len())
 	return b, true
 }
 
 // Close closes the input.
-func (l *Limit) Close() {
-	l.input.Close()
-	putBatch(l.batch)
-	l.batch = nil
-}
+func (l *Limit) Close() { l.input.Close() }
 
 // SliceRows adapts an in-memory row slice to a RowIter (tests, examples).
 type SliceRows struct {
-	Rows []Row
-	pos  int
+	Rows  []Row
+	pos   int
+	batch Batch // a window onto Rows; nothing is copied
 }
 
 // Open rewinds.
 func (s *SliceRows) Open() { s.pos = 0 }
 
-// Next returns the next row.
-func (s *SliceRows) Next() (Row, bool) {
+// NextBatch returns the next up to max rows.
+func (s *SliceRows) NextBatch(max int) (*Batch, bool) {
 	if s.pos >= len(s.Rows) {
 		return nil, false
 	}
-	r := s.Rows[s.pos]
-	s.pos++
-	return r, true
+	end := s.pos + max
+	if end > len(s.Rows) {
+		end = len(s.Rows)
+	}
+	s.batch = Batch{rows: s.Rows[s.pos:end], n: end - s.pos}
+	s.pos = end
+	return &s.batch, true
 }
 
 // Close is a no-op.
@@ -337,14 +202,12 @@ type HashAggregate struct {
 	groupBy []int
 	aggs    []AggSpec
 
-	keys   []string
 	groups map[string]*aggState
 	order  []string
 	pos    int
 	built  bool
 	out    Row
-	batch  *Batch
-	eof    bool
+	rowOutput
 }
 
 type aggState struct {
@@ -364,44 +227,29 @@ func NewHashAggregate(ctx *Ctx, input RowIter, groupBy []int, aggs []AggSpec) *H
 // Open opens the input.
 func (a *HashAggregate) Open() { a.input.Open() }
 
+// build drains the input. It is consumed completely before the first group
+// is emitted, so it is pulled in full batches and hash charges are summed
+// per batch.
 func (a *HashAggregate) build() {
 	a.groups = make(map[string]*aggState)
 	for {
-		row, ok := a.input.Next()
+		b, ok := a.input.NextBatch(BatchCapacity)
 		if !ok {
 			break
 		}
-		a.ctx.ChargeCPU(simclock.AccountHash, CostHashOp, 1)
-		key := keyString(row, a.groupBy)
-		st := a.groups[key]
-		if st == nil {
-			st = &aggState{
-				counts: make([]int64, len(a.aggs)),
-				sums:   make([]float64, len(a.aggs)),
-				mins:   make([]record.Value, len(a.aggs)),
-				maxs:   make([]record.Value, len(a.aggs)),
+		n := b.Len()
+		for r := 0; r < n; r++ {
+			row := b.Row(r)
+			key := keyString(row, a.groupBy)
+			st := a.groups[key]
+			if st == nil {
+				st = newAggState(row, a.groupBy, a.aggs)
+				a.groups[key] = st
+				a.order = append(a.order, key)
 			}
-			for _, g := range a.groupBy {
-				st.groupVals = append(st.groupVals, row[g])
-			}
-			a.groups[key] = st
-			a.order = append(a.order, key)
+			accumulateInto(st, row, a.aggs)
 		}
-		for i, spec := range a.aggs {
-			st.counts[i]++
-			switch spec.Kind {
-			case AggSum:
-				st.sums[i] += row[spec.Col].AsFloat()
-			case AggMin:
-				if st.mins[i].IsNull() || record.Compare(row[spec.Col], st.mins[i]) < 0 {
-					st.mins[i] = row[spec.Col]
-				}
-			case AggMax:
-				if st.maxs[i].IsNull() || record.Compare(row[spec.Col], st.maxs[i]) > 0 {
-					st.maxs[i] = row[spec.Col]
-				}
-			}
-		}
+		a.ctx.ChargeCPU(simclock.AccountHash, CostHashOp, int64(n))
 	}
 	// Deterministic output order: sort keys lexicographically (normalized
 	// keys order like the values themselves).
@@ -409,109 +257,19 @@ func (a *HashAggregate) build() {
 	a.built = true
 }
 
-// buildBatched drains a batch-capable input. The input is fully consumed in
-// either mode, so its I/O order is unchanged; hash charges are summed per
-// batch. Retained values (group keys, MIN/MAX state) are cloned because
-// batch rows may alias their batch's arena.
-func (a *HashAggregate) buildBatched(src BatchOperator) {
-	a.groups = make(map[string]*aggState)
-	for {
-		b, ok := src.NextBatch()
-		if !ok {
-			break
-		}
-		var hash time.Duration
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			row := b.Row(r)
-			hash += CostHashOp
-			key := keyString(row, a.groupBy)
-			st := a.groups[key]
-			if st == nil {
-				st = &aggState{
-					counts: make([]int64, len(a.aggs)),
-					sums:   make([]float64, len(a.aggs)),
-					mins:   make([]record.Value, len(a.aggs)),
-					maxs:   make([]record.Value, len(a.aggs)),
-				}
-				for _, g := range a.groupBy {
-					st.groupVals = append(st.groupVals, row[g].Clone())
-				}
-				a.groups[key] = st
-				a.order = append(a.order, key)
-			}
-			for i, spec := range a.aggs {
-				st.counts[i]++
-				switch spec.Kind {
-				case AggSum:
-					st.sums[i] += row[spec.Col].AsFloat()
-				case AggMin:
-					if st.mins[i].IsNull() || record.Compare(row[spec.Col], st.mins[i]) < 0 {
-						st.mins[i] = row[spec.Col].Clone()
-					}
-				case AggMax:
-					if st.maxs[i].IsNull() || record.Compare(row[spec.Col], st.maxs[i]) > 0 {
-						st.maxs[i] = row[spec.Col].Clone()
-					}
-				}
-			}
-		}
-		a.ctx.chargeDur(simclock.AccountHash, hash)
-	}
-	sortStrings(a.order)
-	a.built = true
-}
+// NextBatch returns up to max group rows.
+func (a *HashAggregate) NextBatch(max int) (*Batch, bool) { return a.fill(a.next, max) }
 
-// NextBatch returns group rows in batches. The build phase consumes the
-// input in batch mode when it supports it; emission reuses the row path
-// (group counts are small).
-func (a *HashAggregate) NextBatch() (*Batch, bool) {
-	if !a.built {
-		if src, ok := a.input.(BatchOperator); ok {
-			a.buildBatched(src)
-		} else {
-			a.build()
-		}
-	}
-	if a.eof {
-		return nil, false
-	}
-	if a.batch == nil {
-		a.batch = getBatch()
-	}
-	a.eof = a.batch.fillFromRows(a.Next)
-	if a.batch.n == 0 {
-		return nil, false
-	}
-	return a.batch, true
-}
-
-// Next returns the next group row.
-func (a *HashAggregate) Next() (Row, bool) {
+// next returns the next group row.
+func (a *HashAggregate) next() (Row, bool) {
 	if !a.built {
 		a.build()
 	}
 	if a.pos >= len(a.order) {
 		return nil, false
 	}
-	st := a.groups[a.order[a.pos]]
+	a.out = renderAggRow(a.out[:0], a.groups[a.order[a.pos]], a.aggs)
 	a.pos++
-	a.out = a.out[:0]
-	a.out = append(a.out, st.groupVals...)
-	for i, spec := range a.aggs {
-		switch spec.Kind {
-		case AggCount:
-			a.out = append(a.out, record.Int(st.counts[i]))
-		case AggSum:
-			a.out = append(a.out, record.Float(st.sums[i]))
-		case AggMin:
-			a.out = append(a.out, st.mins[i])
-		case AggMax:
-			a.out = append(a.out, st.maxs[i])
-		default:
-			panic(fmt.Sprintf("exec: unknown aggregate %d", spec.Kind))
-		}
-	}
 	a.ctx.ChargeCPU(simclock.AccountCPU, CostEmit, 1)
 	return a.out, true
 }
@@ -519,8 +277,7 @@ func (a *HashAggregate) Next() (Row, bool) {
 // Close closes the input.
 func (a *HashAggregate) Close() {
 	a.input.Close()
-	putBatch(a.batch)
-	a.batch = nil
+	a.release()
 }
 
 func sortStrings(s []string) {

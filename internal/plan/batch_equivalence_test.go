@@ -1,14 +1,15 @@
 package plan_test
 
-// The batch-execution pin: exec.Drain drives any batch-capable root
-// batch-at-a-time, and every batched operator gates its batched
-// internals on being driven that way. Wrapping a plan's root in a
-// row-only shim therefore forces the entire tree down the legacy
-// row-at-a-time code paths — the pre-vectorization engine, verbatim.
-// These tests sweep the full paper plan sets both ways and require the
-// complete maps (times, rows, winners, landmarks) to be identical, so
-// any batched code path that drifts from the row engine by even one
-// virtual nanosecond fails loudly.
+// The pull-granularity pin. Every iterator has one pull method,
+// NextBatch(max), and a cell's virtual time must be a property of the
+// plan, never of the bound its root happens to be pulled at. Bound 1 is
+// row-at-a-time execution — every operator in the tree then runs exactly
+// the per-row sequence of page accesses and charges — and BatchCapacity
+// is what exec.Drain uses. These tests sweep the full paper plan sets
+// with each plan's root pinned to bounds 1, 3 and BatchCapacity and
+// require the complete maps (times, rows, winners, landmarks) to be
+// identical, so any batched code path that drifts from the row-at-a-time
+// one by even one virtual nanosecond fails loudly.
 
 import (
 	"reflect"
@@ -20,33 +21,33 @@ import (
 	"robustmap/internal/plan"
 )
 
-// rowOnly hides every interface of the wrapped iterator except RowIter,
-// in particular exec.BatchOperator, so exec.Drain falls back to Next().
-type rowOnly struct {
-	inner exec.RowIter
+// pulledAt pins the bound a plan's root is pulled at, whatever its
+// consumer (exec.Drain) asks for.
+type pulledAt struct {
+	exec.RowIter
+	max int
 }
 
-func (r *rowOnly) Open()                  { r.inner.Open() }
-func (r *rowOnly) Next() (exec.Row, bool) { return r.inner.Next() }
-func (r *rowOnly) Close()                 { r.inner.Close() }
+func (p pulledAt) NextBatch(int) (*exec.Batch, bool) { return p.RowIter.NextBatch(p.max) }
 
-// rowForced returns a copy of the plan list whose roots are wrapped in
-// rowOnly shims.
-func rowForced(plans []plan.Plan) []plan.Plan {
+// atBound returns a copy of the plan list whose roots are pulled at max.
+func atBound(plans []plan.Plan, max int) []plan.Plan {
 	out := make([]plan.Plan, len(plans))
 	for i, p := range plans {
 		build := p.Build
 		p.Build = func(ctx *exec.Ctx, c *catalog.Catalog, q plan.Query) exec.RowIter {
-			return &rowOnly{inner: build(ctx, c, q)}
+			return pulledAt{build(ctx, c, q), max}
 		}
 		out[i] = p
 	}
 	return out
 }
 
-// TestBatchedGridsMatchRowEngine sweeps the 13-plan 2-D study once with
-// batch execution (the default) and once with every plan forced through
-// row-at-a-time iteration, and requires identical results.
+var pullBounds = []int{1, 3, exec.BatchCapacity}
+
+// TestBatchedGridsMatchRowEngine sweeps the 13-plan 2-D study at every
+// pull bound — bound 1 being the row engine — and requires identical
+// results.
 func TestBatchedGridsMatchRowEngine(t *testing.T) {
 	systems := buildEquivSystems(t)
 
@@ -61,29 +62,30 @@ func TestBatchedGridsMatchRowEngine(t *testing.T) {
 		}
 		return res.Map2D
 	}
-	batched := run(plan.AllPlans())
-	rowed := run(rowForced(plan.AllPlans()))
-
-	if !reflect.DeepEqual(batched, rowed) {
-		t.Fatal("batched 2-D map differs from row-at-a-time execution")
-	}
-	if !reflect.DeepEqual(batched.WinnerGrid(), rowed.WinnerGrid()) {
-		t.Fatal("winner grids differ")
-	}
-	if !reflect.DeepEqual(batched.Rows, rowed.Rows) {
-		t.Fatal("rows grids differ")
-	}
+	rowed := run(atBound(plan.AllPlans(), pullBounds[0]))
 	cfg := core.MapLandmarkConfig()
-	for _, p := range plan.AllPlans() {
-		if !reflect.DeepEqual(batched.LandmarkGrid(p.ID, cfg), rowed.LandmarkGrid(p.ID, cfg)) {
-			t.Fatalf("plan %s: landmark grids differ", p.ID)
+	for _, max := range pullBounds[1:] {
+		batched := run(atBound(plan.AllPlans(), max))
+		if !reflect.DeepEqual(batched, rowed) {
+			t.Fatalf("2-D map pulled at bound %d differs from row-at-a-time execution", max)
+		}
+		if !reflect.DeepEqual(batched.WinnerGrid(), rowed.WinnerGrid()) {
+			t.Fatalf("bound %d: winner grids differ", max)
+		}
+		if !reflect.DeepEqual(batched.Rows, rowed.Rows) {
+			t.Fatalf("bound %d: rows grids differ", max)
+		}
+		for _, p := range plan.AllPlans() {
+			if !reflect.DeepEqual(batched.LandmarkGrid(p.ID, cfg), rowed.LandmarkGrid(p.ID, cfg)) {
+				t.Fatalf("bound %d, plan %s: landmark grids differ", max, p.ID)
+			}
 		}
 	}
 }
 
 // TestBatched1DMatchesRowEngine covers the Figure 2 plan set, which
 // exercises the traditional fetch, rids_as_rows, and single-predicate
-// machinery under batch-vs-row execution.
+// machinery at every pull bound.
 func TestBatched1DMatchesRowEngine(t *testing.T) {
 	systems := buildEquivSystems(t)
 
@@ -98,7 +100,11 @@ func TestBatched1DMatchesRowEngine(t *testing.T) {
 		}
 		return res.Map1D
 	}
-	if batched, rowed := run(plan.Figure2Plans()), run(rowForced(plan.Figure2Plans())); !reflect.DeepEqual(batched, rowed) {
-		t.Fatal("batched 1-D map differs from row-at-a-time execution")
+	rowed := run(atBound(plan.Figure2Plans(), pullBounds[0]))
+	for _, max := range pullBounds[1:] {
+		batched := run(atBound(plan.Figure2Plans(), max))
+		if !reflect.DeepEqual(batched, rowed) {
+			t.Fatalf("1-D map pulled at bound %d differs from row-at-a-time execution", max)
+		}
 	}
 }

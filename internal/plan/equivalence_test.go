@@ -59,15 +59,21 @@ func legacyIntersectionInputs(ctx *exec.Ctx, c *catalog.Catalog, q plan.Query) (
 // legacyRIDsAsRows mirrors the unexported plan.ridsAsRows adapter.
 type legacyRIDsAsRows struct {
 	inner exec.RIDIter
-	row   exec.Row
+	empty []exec.Row
+	rows  exec.SliceRows
 }
 
 func (r *legacyRIDsAsRows) Open() { r.inner.Open() }
-func (r *legacyRIDsAsRows) Next() (exec.Row, bool) {
-	if _, ok := r.inner.Next(); !ok {
+func (r *legacyRIDsAsRows) NextBatch(max int) (*exec.Batch, bool) {
+	rids, ok := r.inner.NextRIDBatch(max)
+	if !ok {
 		return nil, false
 	}
-	return r.row, true
+	for len(r.empty) < len(rids) {
+		r.empty = append(r.empty, nil)
+	}
+	r.rows = exec.SliceRows{Rows: r.empty[:len(rids)]}
+	return r.rows.NextBatch(len(rids))
 }
 func (r *legacyRIDsAsRows) Close() { r.inner.Close() }
 

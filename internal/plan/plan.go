@@ -112,18 +112,25 @@ var paperCompiled = sync.OnceValue(func() *CompiledWorkload {
 // so the result is consumed only for counting and no fetch is needed.
 type ridsAsRows struct {
 	inner exec.RIDIter
-	row   exec.Row
+	empty []exec.Row     // nil rows, as many as the largest pull so far
+	rows  exec.SliceRows // the window of empty the current batch serves
 }
 
 // Open opens the inner iterator.
 func (r *ridsAsRows) Open() { r.inner.Open() }
 
-// Next yields one row per RID.
-func (r *ridsAsRows) Next() (exec.Row, bool) {
-	if _, ok := r.inner.Next(); !ok {
+// NextBatch yields one row per RID. It does no I/O of its own, so it hands
+// its consumer's bound down unchanged.
+func (r *ridsAsRows) NextBatch(max int) (*exec.Batch, bool) {
+	rids, ok := r.inner.NextRIDBatch(max)
+	if !ok {
 		return nil, false
 	}
-	return r.row, true
+	for len(r.empty) < len(rids) {
+		r.empty = append(r.empty, nil)
+	}
+	r.rows = exec.SliceRows{Rows: r.empty[:len(rids)]}
+	return r.rows.NextBatch(len(rids))
 }
 
 // Close closes the inner iterator.

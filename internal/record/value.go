@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Type enumerates the column types supported by the engine. The set covers
@@ -90,7 +91,7 @@ func Bool(v bool) Value { return Value{typ: TypeBool, bool: v} }
 func (v Value) Clone() Value {
 	switch v.typ {
 	case TypeString:
-		v.s = string(append([]byte(nil), v.s...))
+		v.s = strings.Clone(v.s)
 	case TypeBytes:
 		v.b = append([]byte(nil), v.b...)
 	}
