@@ -115,10 +115,12 @@ func (t *Tree) writeNode(pg storage.PageNo, n *node) {
 	t.pool.Unpin(t.file, pg)
 }
 
-// descendToLeaf walks from the root to the leaf covering key, returning the
-// leaf page and the path of internal pages with the child indexes taken.
-func (t *Tree) descendToLeaf(key []byte) (storage.PageNo, []pathStep) {
-	var path []pathStep
+// descendToLeaf walks from the root to the leaf covering key and returns
+// the leaf page. When path is non-nil the internal pages visited, with the
+// child indexes taken, are appended to it: only Insert needs them (to
+// propagate a split), so the read-only descents pass nil and allocate
+// nothing.
+func (t *Tree) descendToLeaf(key []byte, path *[]pathStep) storage.PageNo {
 	pg := t.root
 	for level := t.height; level > 1; level-- {
 		n := t.readNode(pg)
@@ -127,10 +129,12 @@ func (t *Tree) descendToLeaf(key []byte) (storage.PageNo, []pathStep) {
 		}
 		i := n.childFor(key)
 		t.chargeSearch(len(n.entries))
-		path = append(path, pathStep{page: pg, idx: i})
+		if path != nil {
+			*path = append(*path, pathStep{page: pg, idx: i})
+		}
 		pg = n.entries[i].child
 	}
-	return pg, path
+	return pg
 }
 
 type pathStep struct {
@@ -149,7 +153,7 @@ func (t *Tree) chargeSearch(entries int) {
 
 // Get returns the value for key, or ok=false.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
-	leafPg, _ := t.descendToLeaf(key)
+	leafPg := t.descendToLeaf(key, nil)
 	n := t.readNode(leafPg)
 	t.chargeSearch(len(n.entries))
 	i := n.searchGE(key)
@@ -165,7 +169,8 @@ func (t *Tree) Insert(key, val []byte) error {
 	if len(key)+len(val) > MaxEntrySize {
 		return fmt.Errorf("btree: entry of %d bytes exceeds max %d", len(key)+len(val), MaxEntrySize)
 	}
-	leafPg, path := t.descendToLeaf(key)
+	var path []pathStep
+	leafPg := t.descendToLeaf(key, &path)
 	n := t.readNode(leafPg)
 	t.chargeSearch(len(n.entries))
 	i := n.searchGE(key)
@@ -188,7 +193,7 @@ func (t *Tree) Insert(key, val []byte) error {
 // merged: the experiment workloads are read-mostly, and lazy deletion
 // matches several production engines.
 func (t *Tree) Delete(key []byte) bool {
-	leafPg, _ := t.descendToLeaf(key)
+	leafPg := t.descendToLeaf(key, nil)
 	n := t.readNode(leafPg)
 	t.chargeSearch(len(n.entries))
 	i := n.searchGE(key)

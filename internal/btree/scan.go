@@ -10,23 +10,33 @@ import (
 // first entry until Next is called. The key/value slices returned reference
 // page memory and must be copied if retained across Next calls.
 type Cursor struct {
-	tree  *Tree
-	page  storage.PageNo
-	node  *node
-	idx   int
-	hi    []byte // exclusive upper bound; nil = unbounded
-	done  bool
-	first bool
+	tree *Tree
+	page storage.PageNo
+	node *node
+	idx  int
+	hi   []byte // exclusive upper bound; nil = unbounded
+	done bool
 }
 
 // Seek returns a cursor positioned before the first entry with key >= lo.
-// If hi is non-nil, iteration stops before the first key >= hi.
+// If hi is non-nil, iteration stops before the first key >= hi. lo is not
+// retained.
 func (t *Tree) Seek(lo, hi []byte) *Cursor {
-	leafPg, _ := t.descendToLeaf(lo)
-	n := t.readNode(leafPg)
-	t.chargeSearch(len(n.entries))
-	idx := n.searchGE(lo)
-	return &Cursor{tree: t, page: leafPg, node: n, idx: idx - 1, hi: hi, first: true}
+	c := &Cursor{tree: t, hi: hi}
+	c.Seek(lo)
+	return c
+}
+
+// Seek repositions the cursor before the first entry with key >= lo,
+// keeping its upper bound: the descent, charges and page accesses of
+// Tree.Seek without a new Cursor. lo is not retained.
+func (c *Cursor) Seek(lo []byte) {
+	t := c.tree
+	c.page = t.descendToLeaf(lo, nil)
+	c.node = t.readNode(c.page)
+	t.chargeSearch(len(c.node.entries))
+	c.idx = c.node.searchGE(lo) - 1
+	c.done = false
 }
 
 // SeekFirst returns a cursor over the whole tree.

@@ -7,6 +7,7 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -219,7 +220,7 @@ func BuildIndex(name string, t *Table, tree treeLoader,
 		t.Heap.Scan(func(rid storage.RID, rec []byte) bool { return collect(rid, rec) })
 	}
 	sort.Slice(entries, func(i, j int) bool {
-		return compareBytes(entries[i].k, entries[j].k) < 0
+		return bytes.Compare(entries[i].k, entries[j].k) < 0
 	})
 	i := 0
 	tr, err := tree(func() ([]byte, []byte, bool) {
@@ -245,28 +246,5 @@ type treeLoader func(next func() ([]byte, []byte, bool)) (*btree.Tree, error)
 func Loader(pool *storage.Pool, clock *simclock.Clock) treeLoader {
 	return func(next func() ([]byte, []byte, bool)) (*btree.Tree, error) {
 		return btree.BulkLoad(pool, clock, btree.DefaultFillFactor, next)
-	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
 	}
 }

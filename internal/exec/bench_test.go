@@ -1,7 +1,12 @@
 package exec
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+
+	"robustmap/internal/mdam"
+	"robustmap/internal/record"
 )
 
 // Per-operator micro-benchmarks for the batched hot path. Each iteration
@@ -24,6 +29,45 @@ func BenchmarkFetchCell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Drain(NewImprovedFetch(e.ctx, e.tbl, e.scanA(e.n/8), nil, 0))
+	}
+}
+
+// ridIntersections are the two RID joins of the paper's Figure 5 plans, over
+// half of each index: a quarter of the table survives the intersection.
+var ridIntersections = []struct {
+	name string
+	join func(e *env) RIDIter
+}{
+	{"merge", func(e *env) RIDIter { return NewRIDMergeIntersect(e.ctx, e.scanA(e.n/2), e.scanB(e.n/2)) }},
+	{"hash", func(e *env) RIDIter { return NewRIDHashIntersect(e.ctx, e.scanA(e.n/2), e.scanB(e.n/2)) }},
+}
+
+// BenchmarkRIDIntersectCell tracks the RID path end to end: two index
+// scans gathered, intersected, sorted physically and fetched.
+func BenchmarkRIDIntersectCell(b *testing.B) {
+	for _, c := range ridIntersections {
+		b.Run(c.name, func(b *testing.B) {
+			e := newTestEnv(b, 20011)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Drain(NewImprovedFetch(e.ctx, e.tbl, c.join(e), nil, 0))
+			}
+		})
+	}
+}
+
+// probingMDAM is an MDAM scan that re-probes once per non-qualifying entry:
+// every leading value has one entry, and half of them miss b < n/2.
+func probingMDAM(e *env) *MDAMScan {
+	return NewMDAMScan(e.ctx, e.ixAB, mdam.All(), mdam.LessThan(record.Int(e.n/2)))
+}
+
+// BenchmarkMDAMCell tracks the probe path: about n/2 tree descents.
+func BenchmarkMDAMCell(b *testing.B) {
+	e := newTestEnv(b, 20011)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Drain(probingMDAM(e))
 	}
 }
 
@@ -114,5 +158,83 @@ func TestBatchedTableScanAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("batched table scan allocates %v per batch in steady state, want 0", avg)
+	}
+}
+
+// TestWarmRIDIntersectFetchAllocFree is the guard for the pooled RID
+// buffers: the index scans' windows, the intersection's two gathered inputs
+// and its result, the fetch's batch and the sort's key buffers. A cell
+// builds its operators anew, as a sweep does, and takes all of those from
+// ridBufPool; once earlier cells have grown them, pulling every batch of a
+// cell — gather, sort, merge, fetch — allocates nothing beyond what
+// constructing, opening and closing the operators does.
+func TestWarmRIDIntersectFetchAllocFree(t *testing.T) {
+	// One processor from the warm-up on, as AllocsPerRun will insist: a
+	// sync.Pool keeps its items per processor.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if poolDropsPuts() {
+		t.Skip("sync.Pool is dropping Puts (it does, at random, under the race detector): no pool stays warm")
+	}
+	e := newTestEnv(t, 20011)
+	cell := func(pull bool) func() {
+		return func() {
+			it := NewImprovedFetch(e.ctx, e.tbl, ridIntersections[0].join(e), nil, 0)
+			it.Open()
+			for more := pull; more; {
+				_, more = it.NextBatch(BatchCapacity)
+			}
+			it.Close()
+		}
+	}
+	for i := 0; i < 8; i++ { // every pooled buffer serves in every role
+		cell(true)()
+	}
+	idle := testing.AllocsPerRun(8, cell(false))
+	if pulled := testing.AllocsPerRun(8, cell(true)); pulled != idle {
+		t.Fatalf("a warm fetch over a merge intersection allocates %v per cell, %v of them in NextBatch, want 0 there",
+			pulled, pulled-idle)
+	}
+}
+
+// poolDropsPuts reports whether a sync.Pool fails to hand back what it was
+// just given, on one processor and with no collection in between.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	x := new(int)
+	for i := 0; i < 64; i++ {
+		p.Put(x)
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWarmMDAMProbesAllocFree is the guard for the probe path: a tree
+// descent keeps no path, the probe target is built in the scan's scratch
+// key and the cursor is re-positioned, not replaced.
+func TestWarmMDAMProbesAllocFree(t *testing.T) {
+	e := newTestEnv(t, 20011)
+	Drain(probingMDAM(e)) // decode every index node once
+	scan := probingMDAM(e)
+	scan.Open()
+	defer scan.Close()
+	const max = 256 // about 40 batches
+	for i := 0; i < 3; i++ {
+		if _, ok := scan.NextBatch(max); !ok {
+			t.Fatal("scan exhausted during warm-up")
+		}
+	}
+	probes := scan.Probes
+	avg := testing.AllocsPerRun(8, func() {
+		if _, ok := scan.NextBatch(max); !ok {
+			t.Fatal("scan exhausted during measurement")
+		}
+	})
+	if scan.Probes-probes < 8*max/2 {
+		t.Fatalf("only %d probes during measurement: the guard is not exercising the probe path", scan.Probes-probes)
+	}
+	if avg != 0 {
+		t.Fatalf("MDAM scan with probes allocates %v per batch in steady state, want 0", avg)
 	}
 }

@@ -81,10 +81,13 @@ type RowIter interface {
 
 // RIDIter is the Volcano iterator over record identifiers, produced by
 // index scans and intersection joins and consumed by fetch operators.
-// NextRIDBatch is NextBatch for RIDs: between 1 and max of them (the slice
-// is valid until the next call), or (nil, false) when exhausted. The bound
-// is what lets a budgeted consumer (ImprovedFetch's refill) stop the
-// producer's index I/O at exactly the entry it has room for.
+// NextRIDBatch is NextBatch for RIDs: between 1 and max of them, or
+// (nil, false) when exhausted. The slice is a window onto a pooled buffer
+// of the producer's (see ridBuf) and is valid only until the producer's
+// next NextRIDBatch or Close: a consumer copies the RIDs it keeps, as every
+// fetch and intersection does. The bound is what lets a budgeted consumer
+// (ImprovedFetch's refill) stop the producer's index I/O at exactly the
+// entry it has room for.
 type RIDIter interface {
 	Open()
 	NextRIDBatch(max int) ([]storage.RID, bool)

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"math/bits"
+	"slices"
 	"time"
 
 	"robustmap/internal/bitmap"
@@ -13,7 +13,7 @@ import (
 // fetchRow resolves one RID to a decoded, visibility-checked row in the
 // batch, applying residual predicates (see decodeRow). Shared by all fetch
 // strategies.
-func fetchRow(ctx *Ctx, t *catalog.Table, rid storage.RID, preds []ColPred, b *Batch, cpu *time.Duration) bool {
+func fetchRow(ctx *Ctx, t *catalog.Table, rid storage.RID, preds rowPreds, b *Batch, cpu *time.Duration) bool {
 	rec, ok := t.Heap.Fetch(rid)
 	if !ok {
 		return false
@@ -55,18 +55,21 @@ type TraditionalFetch struct {
 	ctx   *Ctx
 	table *catalog.Table
 	input RIDIter
-	preds []ColPred
+	preds rowPreds
 	batch *Batch
 	eof   bool
 }
 
 // NewTraditionalFetch constructs the row-at-a-time fetch.
 func NewTraditionalFetch(ctx *Ctx, t *catalog.Table, input RIDIter, preds []ColPred) *TraditionalFetch {
-	return &TraditionalFetch{ctx: ctx, table: t, input: input, preds: preds}
+	return &TraditionalFetch{ctx: ctx, table: t, input: input, preds: newRowPreds(t, preds)}
 }
 
 // Open opens the RID source.
-func (f *TraditionalFetch) Open() { f.input.Open() }
+func (f *TraditionalFetch) Open() {
+	f.input.Open()
+	f.eof = false
+}
 
 // NextBatch returns the next batch of up to max qualifying rows. RIDs are
 // pulled from the input one at a time whatever the bound — the defining
@@ -118,17 +121,16 @@ type ImprovedFetch struct {
 	ctx      *Ctx
 	table    *catalog.Table
 	input    RIDIter
-	preds    []ColPred
+	preds    rowPreds
 	maxBatch int
 
-	batch     []storage.RID
+	batch     *ridBuf // the current sorted RID batch; held from Open to Close
 	batchPos  int
 	exhausted bool
 	lastPage  storage.PageNo
 
-	out      *Batch   // output buffer
-	outEOF   bool     // exhaustion was reported
-	sortKeys []uint64 // scratch for the packed RID sort
+	out    *Batch // output buffer
+	outEOF bool   // exhaustion was reported
 
 	// DisableGapStreaming turns off the stream-through-short-gaps
 	// optimization, paying a seek for every page change — the ablation
@@ -153,12 +155,15 @@ func NewImprovedFetch(ctx *Ctx, t *catalog.Table, input RIDIter, preds []ColPred
 			maxBatch = 1
 		}
 	}
-	return &ImprovedFetch{ctx: ctx, table: t, input: input, preds: preds, maxBatch: maxBatch}
+	return &ImprovedFetch{ctx: ctx, table: t, input: input, preds: newRowPreds(t, preds), maxBatch: maxBatch}
 }
 
-// Open opens the RID source.
+// Open opens the RID source and takes an empty RID batch.
 func (f *ImprovedFetch) Open() {
 	f.input.Open()
+	f.batch = getRIDBuf()
+	f.batchPos = 0
+	f.exhausted, f.outEOF = false, false
 	f.lastPage = -1
 }
 
@@ -166,25 +171,18 @@ func (f *ImprovedFetch) Open() {
 // in sub-batches bounded by the room left, so the producer's index I/O
 // stops at exactly the entry that fills the budget.
 func (f *ImprovedFetch) refill() {
-	f.batch = f.batch[:0]
+	b := f.batch
+	b.rids = b.rids[:0]
 	f.batchPos = 0
-	for len(f.batch) < f.maxBatch {
-		rids, ok := f.input.NextRIDBatch(f.maxBatch - len(f.batch))
+	for len(b.rids) < f.maxBatch {
+		rids, ok := f.input.NextRIDBatch(f.maxBatch - len(b.rids))
 		if !ok {
 			f.exhausted = true
 			break
 		}
-		f.batch = append(f.batch, rids...)
+		b.rids = append(b.rids, rids...)
 	}
-	n := len(f.batch)
-	if n > 1 {
-		// RIDs are unique, so any comparison sort yields the same
-		// permutation; the packed sort avoids per-comparison calls.
-		f.sortKeys = sortRIDsInPlace(f.batch, f.sortKeys)
-		// n log2 n comparisons.
-		f.ctx.ChargeCPU(simclock.AccountSort, CostRIDCompare,
-			int64(n)*int64(bits.Len(uint(n))))
-	}
+	sortRIDs(f.ctx, b)
 	// A fresh batch restarts the gap-streaming state: the device would seek
 	// back to the start of the table anyway.
 	f.lastPage = -1
@@ -203,8 +201,8 @@ func (f *ImprovedFetch) NextBatch(max int) (*Batch, bool) {
 	b.reset()
 	var cpu time.Duration
 	for b.n < max {
-		if f.batchPos < len(f.batch) {
-			rid := f.batch[f.batchPos]
+		if f.batchPos < len(f.batch.rids) {
+			rid := f.batch.rids[f.batchPos]
 			f.batchPos++
 			stepTo(f.ctx, f.table, &f.lastPage, rid.Page, f.DisableGapStreaming)
 			fetchRow(f.ctx, f.table, rid, f.preds, b, &cpu)
@@ -215,7 +213,7 @@ func (f *ImprovedFetch) NextBatch(max int) (*Batch, bool) {
 			break
 		}
 		f.refill()
-		if len(f.batch) == 0 && f.exhausted {
+		if len(f.batch.rids) == 0 && f.exhausted {
 			f.outEOF = true
 			break
 		}
@@ -227,9 +225,11 @@ func (f *ImprovedFetch) NextBatch(max int) (*Batch, bool) {
 	return b, true
 }
 
-// Close closes the RID source.
+// Close closes the RID source and releases the buffers.
 func (f *ImprovedFetch) Close() {
 	f.input.Close()
+	putRIDBuf(f.batch)
+	f.batch = nil
 	putBatch(f.out)
 	f.out = nil
 }
@@ -243,9 +243,9 @@ type BitmapFetch struct {
 	ctx   *Ctx
 	table *catalog.Table
 	input RIDIter
-	preds []ColPred
+	preds rowPreds
 
-	rids     []storage.RID
+	rids     *ridBuf // the bitmap in physical order; held from build to Close
 	pos      int
 	lastPage storage.PageNo
 	built    bool
@@ -256,12 +256,14 @@ type BitmapFetch struct {
 
 // NewBitmapFetch constructs the bitmap-driven fetch.
 func NewBitmapFetch(ctx *Ctx, t *catalog.Table, input RIDIter, preds []ColPred) *BitmapFetch {
-	return &BitmapFetch{ctx: ctx, table: t, input: input, preds: preds}
+	return &BitmapFetch{ctx: ctx, table: t, input: input, preds: newRowPreds(t, preds)}
 }
 
-// Open opens the RID source.
+// Open opens the RID source and forgets any previous run's bitmap.
 func (f *BitmapFetch) Open() {
 	f.input.Open()
+	f.built, f.outEOF = false, false
+	f.pos = 0
 	f.lastPage = -1
 }
 
@@ -281,9 +283,10 @@ func (f *BitmapFetch) build() {
 		}
 	}
 	f.ctx.chargeDur(simclock.AccountCPU, cpu)
-	f.rids = make([]storage.RID, 0, bm.Len())
+	f.rids = getRIDBuf()
+	f.rids.rids = slices.Grow(f.rids.rids, int(bm.Len()))
 	bm.Iterate(func(rid storage.RID) bool {
-		f.rids = append(f.rids, rid)
+		f.rids.rids = append(f.rids.rids, rid)
 		return true
 	})
 	f.built = true
@@ -304,13 +307,14 @@ func (f *BitmapFetch) NextBatch(max int) (*Batch, bool) {
 	b := f.out
 	b.reset()
 	var cpu time.Duration
-	for b.n < max && f.pos < len(f.rids) {
-		rid := f.rids[f.pos]
+	rids := f.rids.rids
+	for b.n < max && f.pos < len(rids) {
+		rid := rids[f.pos]
 		f.pos++
 		stepTo(f.ctx, f.table, &f.lastPage, rid.Page, false)
 		fetchRow(f.ctx, f.table, rid, f.preds, b, &cpu)
 	}
-	if f.pos >= len(f.rids) {
+	if f.pos >= len(rids) {
 		f.outEOF = true
 	}
 	f.ctx.chargeDur(simclock.AccountCPU, cpu)
@@ -320,9 +324,11 @@ func (f *BitmapFetch) NextBatch(max int) (*Batch, bool) {
 	return b, true
 }
 
-// Close closes the RID source.
+// Close closes the RID source and releases the buffers.
 func (f *BitmapFetch) Close() {
 	f.input.Close()
+	putRIDBuf(f.rids)
+	f.rids = nil
 	putBatch(f.out)
 	f.out = nil
 }

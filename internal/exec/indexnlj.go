@@ -23,6 +23,7 @@ type IndexNestedLoopJoin struct {
 	ix       *catalog.Index
 	outerKey int // ordinal of the join key in the outer row
 	keyType  record.Type
+	all      rowPreds // no predicate: every fetched row is decoded whole
 
 	curOuter Row
 	rids     []storage.RID
@@ -42,6 +43,7 @@ func NewIndexNestedLoopJoin(ctx *Ctx, outer RowIter, ix *catalog.Index, outerKey
 	return &IndexNestedLoopJoin{
 		ctx: ctx, outer: rowCursor{outer}, ix: ix, outerKey: outerKey,
 		keyType: ix.Table.Schema.Column(ix.Ordinals[0]).Type,
+		all:     newRowPreds(ix.Table, nil),
 	}
 }
 
@@ -76,7 +78,7 @@ func (j *IndexNestedLoopJoin) next() (Row, bool) {
 			j.pos++
 			j.fetched.reset()
 			var cpu time.Duration
-			hit := fetchRow(j.ctx, j.ix.Table, rid, nil, j.fetched, &cpu)
+			hit := fetchRow(j.ctx, j.ix.Table, rid, j.all, j.fetched, &cpu)
 			j.ctx.chargeDur(simclock.AccountCPU, cpu)
 			if !hit {
 				continue

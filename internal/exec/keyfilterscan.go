@@ -26,7 +26,7 @@ type IndexKeyFilterScan struct {
 	preds []ColPred // ordinals refer to the index's column list
 	cur   *btree.Cursor
 
-	ridBuf  []storage.RID
+	out     *ridBuf // the output window; held from Open to Close
 	scratch Row
 }
 
@@ -40,7 +40,10 @@ func NewIndexKeyFilterScan(ctx *Ctx, ix *catalog.Index, lo, hi []byte, preds []C
 }
 
 // Open seeks to the range start.
-func (s *IndexKeyFilterScan) Open() { s.cur = s.ix.Tree.Seek(s.lo, s.hi) }
+func (s *IndexKeyFilterScan) Open() {
+	s.cur = s.ix.Tree.Seek(s.lo, s.hi)
+	s.out = getRIDBuf()
+}
 
 // NextRIDBatch returns up to max matching RIDs, summing the per-entry and
 // predicate CPU charges (with exact short-circuit counts) per batch and
@@ -49,7 +52,7 @@ func (s *IndexKeyFilterScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if max <= 0 || max > ridBatchCap {
 		max = ridBatchCap
 	}
-	buf := s.ridBuf[:0]
+	buf := s.out.rids[:0]
 	var cpu time.Duration
 	for len(buf) < max && s.cur.Next() {
 		cpu += CostIndexEntry
@@ -66,7 +69,7 @@ func (s *IndexKeyFilterScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 		}
 		buf = append(buf, catalog.DecodeRIDSuffix(key))
 	}
-	s.ridBuf = buf
+	s.out.rids = buf
 	s.ctx.chargeDur(simclock.AccountCPU, cpu)
 	if len(buf) == 0 {
 		return nil, false
@@ -74,5 +77,9 @@ func (s *IndexKeyFilterScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 	return buf, true
 }
 
-// Close releases the cursor.
-func (s *IndexKeyFilterScan) Close() { s.cur = nil }
+// Close releases the cursor and the output window.
+func (s *IndexKeyFilterScan) Close() {
+	s.cur = nil
+	putRIDBuf(s.out)
+	s.out = nil
+}

@@ -38,6 +38,7 @@ type MDAMScan struct {
 	DisableProbes bool
 
 	cur    *btree.Cursor
+	target []byte // scratch for probe targets; Cursor.Seek does not retain it
 	misses int
 	batch  *Batch
 	eof    bool // the scan ended on a partial batch; next NextBatch ends
@@ -128,7 +129,7 @@ func (s *MDAMScan) step(b *Batch, cpu *time.Duration) bool {
 		// Inside the overall [minLo, maxHi) range but in a gap between
 		// leading intervals: probe to the next interval's start.
 		if iv, ok := s.leadSet.NextFrom(lead); ok && !iv.Lo.IsNull() {
-			s.probeTo(record.NormalizeValue(nil, iv.Lo))
+			s.probeTo(record.NormalizeValue(s.target[:0], iv.Lo))
 			return true
 		}
 		return false
@@ -148,7 +149,8 @@ func (s *MDAMScan) step(b *Batch, cpu *time.Duration) bool {
 	// or past its set's upper bound, nothing further under this leading
 	// value can qualify: skip to the next leading value immediately.
 	if hi, bounded := s.secondSet.MaxHi(); bounded && record.Compare(second, hi) >= 0 {
-		s.probeTo(record.KeySuccessor(record.NormalizeValue(nil, lead)))
+		// record.KeySuccessor of the leading value, built in place.
+		s.probeTo(append(record.NormalizeValue(s.target[:0], lead), 0xFF))
 		return true
 	}
 	// Otherwise the qualifying region may lie ahead within this
@@ -157,22 +159,19 @@ func (s *MDAMScan) step(b *Batch, cpu *time.Duration) bool {
 	s.misses++
 	if s.misses >= s.ProbeThreshold {
 		if iv, ok := s.secondSet.NextFrom(second); ok && !iv.Lo.IsNull() {
-			target := record.NormalizeValue(nil, lead)
-			target = record.NormalizeValue(target, iv.Lo)
-			s.probeTo(target)
+			target := record.NormalizeValue(s.target[:0], lead)
+			s.probeTo(record.NormalizeValue(target, iv.Lo))
 		}
 	}
 	return true
 }
 
-// probeTo re-seeks the cursor to the given key, preserving the overall
-// upper bound, and counts the probe.
+// probeTo re-seeks the cursor to the given key, which keeps the overall
+// upper bound it was opened with, and counts the probe. key is built in
+// s.target and becomes the scratch for the next probe.
 func (s *MDAMScan) probeTo(key []byte) {
-	var hi []byte
-	if v, ok := s.leadSet.MaxHi(); ok {
-		hi = record.NormalizeValue(nil, v)
-	}
-	s.cur = s.ix.Tree.Seek(key, hi)
+	s.cur.Seek(key)
+	s.target = key
 	s.misses = 0
 	s.Probes++
 }

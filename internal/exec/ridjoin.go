@@ -20,7 +20,7 @@ import (
 type RIDMergeIntersect struct {
 	ctx         *Ctx
 	left, right RIDIter
-	out         []storage.RID
+	out         *ridBuf // the intersection; held from build to Close
 	pos         int
 	built       bool
 }
@@ -33,26 +33,15 @@ func NewRIDMergeIntersect(ctx *Ctx, left, right RIDIter) *RIDMergeIntersect {
 	return &RIDMergeIntersect{ctx: ctx, left: left, right: right}
 }
 
-// Open opens both inputs.
+// Open opens both inputs and forgets any previous run's result.
 func (j *RIDMergeIntersect) Open() {
 	j.left.Open()
 	j.right.Open()
+	j.built, j.pos = false, 0
 }
 
-// gatherRIDs drains a RID input. Both intersections consume their inputs
-// completely before producing anything, so they pull full sub-batches.
-func gatherRIDs(it RIDIter) []storage.RID {
-	var out []storage.RID
-	for {
-		rids, ok := it.NextRIDBatch(ridBatchCap)
-		if !ok {
-			return out
-		}
-		out = append(out, rids...)
-	}
-}
-
-// serveRIDs hands out the next up to max RIDs of a materialized result.
+// serveRIDs hands out the next up to max RIDs of a materialized result: a
+// window onto out, which goes back to the pool at Close.
 func serveRIDs(out []storage.RID, pos *int, max int) ([]storage.RID, bool) {
 	if *pos >= len(out) {
 		return nil, false
@@ -67,11 +56,14 @@ func serveRIDs(out []storage.RID, pos *int, max int) ([]storage.RID, bool) {
 }
 
 func (j *RIDMergeIntersect) build() {
-	l := gatherRIDs(j.left)
-	r := gatherRIDs(j.right)
-	sortRIDs(j.ctx, l)
-	sortRIDs(j.ctx, r)
+	lb, rb := getRIDBuf(), getRIDBuf()
+	lb.gather(j.left)
+	rb.gather(j.right)
+	sortRIDs(j.ctx, lb)
+	sortRIDs(j.ctx, rb)
+	j.out = getRIDBuf()
 	// Merge, charging one comparison per step.
+	l, r := lb.rids, rb.rids
 	li, ri := 0, 0
 	for li < len(l) && ri < len(r) {
 		j.ctx.ChargeCPU(simclock.AccountCompare, CostRIDCompare, 1)
@@ -81,21 +73,24 @@ func (j *RIDMergeIntersect) build() {
 		case 1:
 			ri++
 		default:
-			j.out = append(j.out, l[li])
+			j.out.rids = append(j.out.rids, l[li])
 			li++
 			ri++
 		}
 	}
+	putRIDBuf(lb)
+	putRIDBuf(rb)
 	j.built = true
 }
 
-func sortRIDs(ctx *Ctx, rids []storage.RID) {
-	n := len(rids)
+// sortRIDs sorts a buffer physically and charges the analytic n log2 n
+// RID comparisons of a comparison sort.
+func sortRIDs(ctx *Ctx, b *ridBuf) {
+	n := len(b.rids)
 	if n <= 1 {
 		return
 	}
-	// RIDs are unique, so any comparison sort yields the same permutation.
-	sortRIDsInPlace(rids, nil)
+	b.sort()
 	ctx.ChargeCPU(simclock.AccountSort, CostRIDCompare, int64(n)*int64(bits.Len(uint(n))))
 }
 
@@ -106,13 +101,15 @@ func (j *RIDMergeIntersect) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if !j.built {
 		j.build()
 	}
-	return serveRIDs(j.out, &j.pos, max)
+	return serveRIDs(j.out.rids, &j.pos, max)
 }
 
-// Close closes both inputs.
+// Close closes both inputs and releases the result.
 func (j *RIDMergeIntersect) Close() {
 	j.left.Close()
 	j.right.Close()
+	putRIDBuf(j.out)
+	j.out = nil
 }
 
 // RIDHashIntersect builds a hash set from the build input and probes it
@@ -129,7 +126,7 @@ func (j *RIDMergeIntersect) Close() {
 type RIDHashIntersect struct {
 	ctx          *Ctx
 	build, probe RIDIter
-	out          []storage.RID
+	out          *ridBuf // the intersection; held from run to Close
 	pos          int
 	built        bool
 }
@@ -144,16 +141,21 @@ func NewRIDHashIntersect(ctx *Ctx, build, probe RIDIter) *RIDHashIntersect {
 	return &RIDHashIntersect{ctx: ctx, build: build, probe: probe}
 }
 
-// Open opens both inputs.
+// Open opens both inputs and forgets any previous run's result.
 func (j *RIDHashIntersect) Open() {
 	j.build.Open()
 	j.probe.Open()
+	j.built, j.pos = false, 0
 }
 
 func (j *RIDHashIntersect) run() {
-	b := gatherRIDs(j.build)
-	p := gatherRIDs(j.probe)
-	j.intersect(b, p, 0)
+	b, p := getRIDBuf(), getRIDBuf()
+	b.gather(j.build)
+	p.gather(j.probe)
+	j.out = getRIDBuf()
+	j.intersect(b.rids, p.rids, 0)
+	putRIDBuf(b)
+	putRIDBuf(p)
 	j.built = true
 }
 
@@ -178,7 +180,7 @@ func (j *RIDHashIntersect) intersect(build, probe []storage.RID, level int) {
 	for _, rid := range probe {
 		j.ctx.ChargeCPU(simclock.AccountHash, CostHashOp, 1)
 		if _, hit := set[rid]; hit {
-			j.out = append(j.out, rid)
+			j.out.rids = append(j.out.rids, rid)
 		}
 	}
 }
@@ -231,11 +233,13 @@ func (j *RIDHashIntersect) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if !j.built {
 		j.run()
 	}
-	return serveRIDs(j.out, &j.pos, max)
+	return serveRIDs(j.out.rids, &j.pos, max)
 }
 
-// Close closes both inputs.
+// Close closes both inputs and releases the result.
 func (j *RIDHashIntersect) Close() {
 	j.build.Close()
 	j.probe.Close()
+	putRIDBuf(j.out)
+	j.out = nil
 }

@@ -17,7 +17,7 @@ import (
 type TableScan struct {
 	ctx   *Ctx
 	table *catalog.Table
-	preds []ColPred
+	preds rowPreds
 
 	pages      storage.PageNo
 	pg         storage.PageNo
@@ -34,7 +34,7 @@ type TableScan struct {
 // NewTableScan constructs a table scan. Predicate ordinals refer to the
 // table schema.
 func NewTableScan(ctx *Ctx, t *catalog.Table, preds []ColPred) *TableScan {
-	return &TableScan{ctx: ctx, table: t, preds: preds}
+	return &TableScan{ctx: ctx, table: t, preds: newRowPreds(t, preds)}
 }
 
 // Open positions the scan before the first page.
@@ -107,11 +107,16 @@ func (s *TableScan) NextBatch(max int) (*Batch, bool) {
 	return b, true
 }
 
-// decodeRow decodes one stored record of t into the batch — visibility
-// check, arena-backed decode (allocation-free in steady state), residual
-// predicates — committing it if it qualifies. CPU costs accumulate into
+// decodeRow decodes one stored record of t into the batch, committing it
+// if it qualifies: visibility check, then the columns the predicates read
+// (preds.prefix), then the predicates, and only for a row that passes them
+// the rest of the row. A rejected row's tail is not materialized — no Value
+// written, no string copied into the arena — but it is still walked once by
+// record.ValidateCols, so a corrupt record panics here whether or not its
+// row qualifies. The charges are those of a full decode (CostRowDecode per
+// visible row, CostPredicate per predicate evaluated) and accumulate into
 // cpu. Shared by the table scan and every fetch strategy.
-func decodeRow(ctx *Ctx, t *catalog.Table, rec []byte, preds []ColPred, b *Batch, cpu *time.Duration) bool {
+func decodeRow(ctx *Ctx, t *catalog.Table, rec []byte, preds rowPreds, b *Batch, cpu *time.Duration) bool {
 	payload := rec
 	if t.Versioned != nil {
 		h, p := mvcc.DecodeHeader(rec)
@@ -121,19 +126,45 @@ func decodeRow(ctx *Ctx, t *catalog.Table, rec []byte, preds []ColPred, b *Batch
 		payload = p
 	}
 	*cpu += CostRowDecode
-	row := b.rowBuf()
-	var err error
-	row, b.arena, _, err = t.Schema.DecodeArena(payload, row, b.arena)
-	if err != nil {
-		panic("exec: corrupt row in table " + t.Name + ": " + err.Error())
+	mark := len(b.arena)
+	row, arena, off, err := t.Schema.DecodeArenaCols(payload, 0, preds.prefix, 0, b.rowBuf(), b.arena)
+	if err == nil {
+		if matchesAll(preds.conj, row, cpu) {
+			row, arena, _, err = t.Schema.DecodeArenaCols(payload, preds.prefix, t.Schema.NumColumns(), off, row, arena)
+			if err == nil {
+				*cpu += CostEmit
+				b.arena = arena
+				b.commit(row)
+				return true
+			}
+		} else if _, err = t.Schema.ValidateCols(payload, preds.prefix, off); err == nil {
+			b.arena = arena[:mark]
+			b.store(row)
+			return false
+		}
 	}
-	if !matchesAll(preds, row, cpu) {
-		b.store(row)
-		return false
+	panic("exec: corrupt row in table " + t.Name + ": " + err.Error())
+}
+
+// rowPreds is a predicate conjunction on the stored rows of a table with
+// the number of leading columns it reads — what decodeRow decodes before
+// it evaluates anything.
+type rowPreds struct {
+	conj   []ColPred
+	prefix int
+}
+
+// newRowPreds measures the prefix: up to the last column a predicate reads,
+// or the whole row when there is no predicate to reject it.
+func newRowPreds(t *catalog.Table, conj []ColPred) rowPreds {
+	if len(conj) == 0 {
+		return rowPreds{prefix: t.Schema.NumColumns()}
 	}
-	*cpu += CostEmit
-	b.commit(row)
-	return true
+	p := rowPreds{conj: conj}
+	for _, c := range conj {
+		p.prefix = max(p.prefix, c.Col+1)
+	}
+	return p
 }
 
 // Close releases the current page pin.
@@ -151,12 +182,12 @@ func (s *TableScan) Close() {
 // in key order — physically scattered order, which is exactly what makes
 // the traditional fetch expensive.
 type IndexRangeScan struct {
-	ctx    *Ctx
-	ix     *catalog.Index
-	lo     []byte
-	hi     []byte
-	cur    *btree.Cursor
-	ridBuf []storage.RID
+	ctx *Ctx
+	ix  *catalog.Index
+	lo  []byte
+	hi  []byte
+	cur *btree.Cursor
+	out *ridBuf // the output window; held from Open to Close
 }
 
 // NewIndexRangeScan constructs a range scan. lo and hi are normalized key
@@ -166,7 +197,10 @@ func NewIndexRangeScan(ctx *Ctx, ix *catalog.Index, lo, hi []byte) *IndexRangeSc
 }
 
 // Open seeks to the start of the range.
-func (s *IndexRangeScan) Open() { s.cur = s.ix.Tree.Seek(s.lo, s.hi) }
+func (s *IndexRangeScan) Open() {
+	s.cur = s.ix.Tree.Seek(s.lo, s.hi)
+	s.out = getRIDBuf()
+}
 
 // NextRIDBatch returns up to max RIDs in key order, charging the per-entry
 // CPU cost once per batch. The cursor reads no leaf page beyond the last
@@ -175,11 +209,11 @@ func (s *IndexRangeScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 	if max <= 0 || max > ridBatchCap {
 		max = ridBatchCap
 	}
-	buf := s.ridBuf[:0]
+	buf := s.out.rids[:0]
 	for len(buf) < max && s.cur.Next() {
 		buf = append(buf, catalog.DecodeRIDSuffix(s.cur.Key()))
 	}
-	s.ridBuf = buf
+	s.out.rids = buf
 	if len(buf) == 0 {
 		return nil, false
 	}
@@ -187,8 +221,12 @@ func (s *IndexRangeScan) NextRIDBatch(max int) ([]storage.RID, bool) {
 	return buf, true
 }
 
-// Close is a no-op (cursors hold no pins between calls).
-func (s *IndexRangeScan) Close() { s.cur = nil }
+// Close releases the output window (cursors hold no pins between calls).
+func (s *IndexRangeScan) Close() {
+	s.cur = nil
+	putRIDBuf(s.out)
+	s.out = nil
+}
 
 // CoveringIndexScan answers a query from index entries alone, decoding the
 // key columns and applying residual predicates to them. Only valid on

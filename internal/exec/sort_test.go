@@ -30,7 +30,9 @@ func collectRows(it RowIter) []Row {
 func collectRIDs(it RIDIter) []storage.RID {
 	it.Open()
 	defer it.Close()
-	return gatherRIDs(it)
+	var b ridBuf
+	b.gather(it)
+	return b.rids
 }
 
 func assertSorted(t *testing.T, rows []Row, n int) {

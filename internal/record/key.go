@@ -37,28 +37,27 @@ func NormalizeValue(dst []byte, v Value) []byte {
 	switch v.typ {
 	case TypeInt64, TypeDate:
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.i)^(1<<63))
+		binary.BigEndian.PutUint64(buf[:], v.n^(1<<63))
 		return append(dst, buf[:]...)
 	case TypeFloat64:
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], Float64ToSortable(v.f))
+		binary.BigEndian.PutUint64(buf[:], Float64ToSortable(v.float()))
 		return append(dst, buf[:]...)
 	case TypeBool:
-		if v.bool {
+		if v.bool() {
 			return append(dst, 1)
 		}
 		return append(dst, 0)
-	case TypeString:
-		return appendEscaped(dst, []byte(v.s))
-	case TypeBytes:
-		return appendEscaped(dst, v.b)
+	case TypeString, TypeBytes:
+		return appendEscaped(dst, v.s)
 	default:
 		panic(fmt.Sprintf("record: normalize invalid type %v", v.typ))
 	}
 }
 
-func appendEscaped(dst, data []byte) []byte {
-	for _, b := range data {
+func appendEscaped(dst []byte, data string) []byte {
+	for i := 0; i < len(data); i++ {
+		b := data[i]
 		if b == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {

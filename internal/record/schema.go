@@ -134,17 +134,14 @@ func (s *Schema) Encode(dst []byte, row []Value) ([]byte, error) {
 		}
 		switch s.cols[i].Type {
 		case TypeInt64, TypeDate:
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, v.int())
 		case TypeFloat64:
-			dst = binary.BigEndian.AppendUint64(dst, Float64ToSortable(v.f))
-		case TypeString:
+			dst = binary.BigEndian.AppendUint64(dst, Float64ToSortable(v.float()))
+		case TypeString, TypeBytes:
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
-		case TypeBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
 		case TypeBool:
-			if v.bool {
+			if v.bool() {
 				dst = append(dst, 1)
 			} else {
 				dst = append(dst, 0)
@@ -160,20 +157,21 @@ func (s *Schema) Encode(dst []byte, row []Value) ([]byte, error) {
 func (s *Schema) Decode(data []byte, row []Value) ([]Value, int, error) {
 	nbm := (len(s.cols) + 7) / 8
 	if len(data) < nbm {
-		return row, 0, fmt.Errorf("record: truncated null bitmap")
+		return row, 0, errTruncatedBitmap
 	}
 	bm := data[:nbm]
 	off := nbm
-	for i, c := range s.cols {
+	for i := range s.cols {
 		if bm[i/8]&(1<<(i%8)) != 0 {
 			row = append(row, Null)
 			continue
 		}
+		c := &s.cols[i]
 		switch c.Type {
 		case TypeInt64, TypeDate:
 			v, n := varint(data[off:])
 			if n <= 0 {
-				return row, 0, fmt.Errorf("record: bad varint in column %q", c.Name)
+				return row, 0, c.errBad("varint")
 			}
 			off += n
 			if c.Type == TypeDate {
@@ -183,7 +181,7 @@ func (s *Schema) Decode(data []byte, row []Value) ([]Value, int, error) {
 			}
 		case TypeFloat64:
 			if len(data[off:]) < 8 {
-				return row, 0, fmt.Errorf("record: truncated float in column %q", c.Name)
+				return row, 0, c.errTruncated("float")
 			}
 			u := binary.BigEndian.Uint64(data[off:])
 			off += 8
@@ -191,7 +189,7 @@ func (s *Schema) Decode(data []byte, row []Value) ([]Value, int, error) {
 		case TypeString:
 			ln, n := uvarint(data[off:])
 			if n <= 0 || uint64(len(data[off+n:])) < ln {
-				return row, 0, fmt.Errorf("record: bad string in column %q", c.Name)
+				return row, 0, c.errBadVarlen()
 			}
 			off += n
 			row = append(row, String_(string(data[off:off+int(ln)])))
@@ -199,7 +197,7 @@ func (s *Schema) Decode(data []byte, row []Value) ([]Value, int, error) {
 		case TypeBytes:
 			ln, n := uvarint(data[off:])
 			if n <= 0 || uint64(len(data[off+n:])) < ln {
-				return row, 0, fmt.Errorf("record: bad bytes in column %q", c.Name)
+				return row, 0, c.errBadVarlen()
 			}
 			off += n
 			b := make([]byte, ln)
@@ -208,7 +206,7 @@ func (s *Schema) Decode(data []byte, row []Value) ([]Value, int, error) {
 			off += int(ln)
 		case TypeBool:
 			if off >= len(data) {
-				return row, 0, fmt.Errorf("record: truncated bool in column %q", c.Name)
+				return row, 0, c.errTruncated("bool")
 			}
 			row = append(row, Bool(data[off] != 0))
 			off++

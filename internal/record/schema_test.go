@@ -150,6 +150,78 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestPartialDecodeAgreesWithDecodeArena splits a row at every column
+// boundary — decode the prefix, then either decode or only validate the
+// tail — and checks, for the intact encoding, every truncation of it and
+// every single-byte corruption, that all three report what DecodeArena
+// reports: the same values, the same length, the same error. A reader that
+// rejects a row on its prefix relies on ValidateCols to find exactly the
+// corruption a full decode would have found.
+func TestPartialDecodeAgreesWithDecodeArena(t *testing.T) {
+	s := lineitemish()
+	rows := [][]Value{
+		{Int(1), Float(2.5), String_("hello"), Date(1), Bool(true), Bytes([]byte{9})},
+		{Int(-1 << 40), Float(0), Null, Date(300000), Bool(false), Null},
+		{Int(0), Float(-1), String_(""), Date(0), Bool(true), Bytes(nil)},
+	}
+	check := func(data []byte) {
+		want, _, wantN, wantErr := s.DecodeArena(data, nil, nil)
+		for k := 0; k <= s.NumColumns(); k++ {
+			head, arena, off, err := s.DecodeArenaCols(data, 0, k, 0, nil, nil)
+			full, n := head, off
+			if err == nil {
+				full, _, n, err = s.DecodeArenaCols(data, k, s.NumColumns(), off, head, arena)
+			}
+			if errString(err) != errString(wantErr) || (err == nil && (n != wantN || !rowsEqual(full, want))) {
+				t.Fatalf("%x split at %d: decoded %v, %d, %v; DecodeArena %v, %d, %v", data, k, full, n, err, want, wantN, wantErr)
+			}
+			_, _, off, err = s.DecodeArenaCols(data, 0, k, 0, nil, nil)
+			if err == nil {
+				n, err = s.ValidateCols(data, k, off)
+			}
+			if errString(err) != errString(wantErr) || (err == nil && n != wantN) {
+				t.Fatalf("%x validated from %d: %d, %v; DecodeArena %d, %v", data, k, n, err, wantN, wantErr)
+			}
+		}
+	}
+	for _, row := range rows {
+		enc, err := s.Encode(nil, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(enc)
+		for cut := 0; cut < len(enc); cut++ {
+			check(enc[:cut])
+		}
+		for i := range enc {
+			for _, b := range []byte{0x00, 0x7F, 0x80, 0xFF} {
+				bad := append([]byte(nil), enc...)
+				bad[i] = b
+				check(bad)
+			}
+		}
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func rowsEqual(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Type() != b[i].Type() || a[i].String() != b[i].String() {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEncodeConcatenatedRows(t *testing.T) {
 	s := NewSchema(Column{Name: "k", Type: TypeInt64}, Column{Name: "v", Type: TypeString})
 	var buf []byte

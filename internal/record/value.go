@@ -9,10 +9,12 @@
 package record
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Type enumerates the column types supported by the engine. The set covers
@@ -52,23 +54,27 @@ func (t Type) String() string {
 func (t Type) Valid() bool { return t >= TypeInt64 && t <= TypeBool }
 
 // Value is a single typed column value. The zero Value is NULL.
+//
+// Layout: a tag, one scalar word and one pointer/length pair — 32 bytes,
+// because every row the executor decodes, copies, sorts or hashes moves
+// one Value per column. The scalar word holds an int64 or date as is, a
+// float64 as its IEEE bits and a bool as 0/1; the pair holds a string, or
+// the pointer and length of a bytes payload viewed as a string (its
+// capacity is not kept). Only this package reads the fields.
 type Value struct {
-	typ  Type // 0 means NULL
-	i    int64
-	f    float64
-	s    string
-	b    []byte
-	bool bool
+	typ Type   // 0 means NULL
+	n   uint64 // int64, date, float64 bits or bool
+	s   string // string payload, or a bytes payload's memory
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // Int returns an int64 value.
-func Int(v int64) Value { return Value{typ: TypeInt64, i: v} }
+func Int(v int64) Value { return Value{typ: TypeInt64, n: uint64(v)} }
 
 // Float returns a float64 value.
-func Float(v float64) Value { return Value{typ: TypeFloat64, f: v} }
+func Float(v float64) Value { return Value{typ: TypeFloat64, n: math.Float64bits(v)} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the Stringer method.)
@@ -76,24 +82,35 @@ func String_(v string) Value { return Value{typ: TypeString, s: v} }
 
 // Bytes returns a binary value. The slice is not copied; callers must not
 // mutate it afterwards.
-func Bytes(v []byte) Value { return Value{typ: TypeBytes, b: v} }
+func Bytes(v []byte) Value {
+	return Value{typ: TypeBytes, s: unsafe.String(unsafe.SliceData(v), len(v))}
+}
 
 // Date returns a date value expressed as days since the Unix epoch.
-func Date(days int64) Value { return Value{typ: TypeDate, i: days} }
+func Date(days int64) Value { return Value{typ: TypeDate, n: uint64(days)} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{typ: TypeBool, bool: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{typ: TypeBool, n: 1}
+	}
+	return Value{typ: TypeBool}
+}
+
+// int, float, bytes and bool read the payload words; the caller has
+// checked the tag.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) bool() bool     { return v.n != 0 }
+func (v Value) bytes() []byte  { return unsafe.Slice(unsafe.StringData(v.s), len(v.s)) }
 
 // Clone returns a copy of the value that shares no memory with arena-backed
 // storage: string and bytes payloads are copied onto the heap. Use it when
 // retaining a value taken from a batch (see Schema.DecodeArena) beyond the
 // batch's lifetime.
 func (v Value) Clone() Value {
-	switch v.typ {
-	case TypeString:
+	if v.typ == TypeString || v.typ == TypeBytes {
 		v.s = strings.Clone(v.s)
-	case TypeBytes:
-		v.b = append([]byte(nil), v.b...)
 	}
 	return v
 }
@@ -110,16 +127,16 @@ func (v Value) AsInt() int64 {
 	if v.typ != TypeInt64 && v.typ != TypeDate {
 		panic(fmt.Sprintf("record: AsInt on %v", v.typ))
 	}
-	return v.i
+	return v.int()
 }
 
 // AsFloat returns the float64 payload, widening integers.
 func (v Value) AsFloat() float64 {
 	switch v.typ {
 	case TypeFloat64:
-		return v.f
+		return v.float()
 	case TypeInt64, TypeDate:
-		return float64(v.i)
+		return float64(v.int())
 	default:
 		panic(fmt.Sprintf("record: AsFloat on %v", v.typ))
 	}
@@ -138,7 +155,7 @@ func (v Value) AsBytes() []byte {
 	if v.typ != TypeBytes {
 		panic(fmt.Sprintf("record: AsBytes on %v", v.typ))
 	}
-	return v.b
+	return v.bytes()
 }
 
 // AsBool returns the boolean payload.
@@ -146,7 +163,7 @@ func (v Value) AsBool() bool {
 	if v.typ != TypeBool {
 		panic(fmt.Sprintf("record: AsBool on %v", v.typ))
 	}
-	return v.bool
+	return v.bool()
 }
 
 // String renders the value for debugging and EXPLAIN output.
@@ -155,17 +172,17 @@ func (v Value) String() string {
 	case 0:
 		return "NULL"
 	case TypeInt64:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case TypeFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TypeString:
 		return strconv.Quote(v.s)
 	case TypeBytes:
-		return fmt.Sprintf("x'%x'", v.b)
+		return fmt.Sprintf("x'%x'", v.s)
 	case TypeDate:
-		return fmt.Sprintf("date(%d)", v.i)
+		return fmt.Sprintf("date(%d)", v.int())
 	case TypeBool:
-		return strconv.FormatBool(v.bool)
+		return strconv.FormatBool(v.bool())
 	default:
 		return fmt.Sprintf("Value(%d)", uint8(v.typ))
 	}
@@ -191,36 +208,25 @@ func Compare(a, b Value) int {
 	}
 	switch a.typ {
 	case TypeInt64, TypeDate:
-		return cmpInt64(a.i, b.i)
+		return cmpInt64(a.int(), b.int())
 	case TypeFloat64:
+		// Compared as floats, not as bit patterns: NaN is unordered (0
+		// against everything) and -0 equals +0.
+		af, bf := a.float(), b.float()
 		switch {
-		case a.f < b.f:
+		case af < bf:
 			return -1
-		case a.f > b.f:
+		case af > bf:
 			return 1
 		default:
 			return 0
 		}
 	case TypeString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(a.s, b.s)
 	case TypeBytes:
-		return compareBytes(a.b, b.b)
+		return bytes.Compare(a.bytes(), b.bytes())
 	case TypeBool:
-		switch {
-		case !a.bool && b.bool:
-			return -1
-		case a.bool && !b.bool:
-			return 1
-		default:
-			return 0
-		}
+		return cmpInt64(a.int(), b.int())
 	default:
 		panic(fmt.Sprintf("record: compare on invalid type %v", a.typ))
 	}
@@ -235,22 +241,6 @@ func cmpInt64(a, b int64) int {
 	default:
 		return 0
 	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpInt64(int64(len(a)), int64(len(b)))
 }
 
 // Equal reports whether two values compare equal.

@@ -41,24 +41,24 @@ const (
 // serial measurement semantics are preserved per run, concurrency only
 // overlaps separate runs' wall-clock time.
 type Clock struct {
-	now      time.Duration
-	accounts map[Account]time.Duration
-	frozen   bool
+	now    time.Duration
+	frozen bool
 
-	// Hot-account cache: consecutive charges to the same account (the
-	// common case — a burst of latch costs, a batch of CPU charges) are
-	// summed here and folded into the map only when the account changes or
-	// the accounts are read. This skips a map hash per Advance on the
-	// per-cell hot path without changing any observable total.
-	hotAcct Account
-	hotSum  time.Duration
-	hotSet  bool
+	// accounts holds the accounts charged so far, in first-charge order. A
+	// run charges a handful of them and alternates between them call by
+	// call (latch, compare, CPU), so a linear search over a short slice
+	// beats hashing the name on every Advance, while Account stays an
+	// open-ended string.
+	accounts []acctSum
+}
+
+type acctSum struct {
+	acct Account
+	sum  time.Duration
 }
 
 // New returns a Clock at virtual time zero.
-func New() *Clock {
-	return &Clock{accounts: make(map[Account]time.Duration)}
-}
+func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time since the clock's epoch.
 func (c *Clock) Now() time.Duration { return c.now }
@@ -74,21 +74,13 @@ func (c *Clock) Advance(acct Account, d time.Duration) {
 		panic("simclock: advance on frozen clock")
 	}
 	c.now += d
-	if c.hotSet && acct == c.hotAcct {
-		c.hotSum += d
-		return
+	for i := range c.accounts {
+		if c.accounts[i].acct == acct {
+			c.accounts[i].sum += d
+			return
+		}
 	}
-	c.flushHot()
-	c.hotAcct, c.hotSum, c.hotSet = acct, d, true
-}
-
-// flushHot folds the cached hot-account sum into the accounts map.
-func (c *Clock) flushHot() {
-	if c.hotSet {
-		c.accounts[c.hotAcct] += c.hotSum
-		c.hotSum = 0
-		c.hotSet = false
-	}
+	c.accounts = append(c.accounts, acctSum{acct, d})
 }
 
 // Freeze prevents further advances. Experiments freeze the clock after a
@@ -102,26 +94,25 @@ func (c *Clock) Frozen() bool { return c.frozen }
 func (c *Clock) Reset() {
 	c.now = 0
 	c.frozen = false
-	c.hotSum = 0
-	c.hotSet = false
-	for k := range c.accounts {
-		delete(c.accounts, k)
-	}
+	c.accounts = c.accounts[:0]
 }
 
 // Spent returns the time charged to a single account.
 func (c *Clock) Spent(acct Account) time.Duration {
-	c.flushHot()
-	return c.accounts[acct]
+	for _, a := range c.accounts {
+		if a.acct == acct {
+			return a.sum
+		}
+	}
+	return 0
 }
 
 // Accounts returns a copy of all non-zero accounts.
 func (c *Clock) Accounts() map[Account]time.Duration {
-	c.flushHot()
 	out := make(map[Account]time.Duration, len(c.accounts))
-	for k, v := range c.accounts {
-		if v != 0 {
-			out[k] = v
+	for _, a := range c.accounts {
+		if a.sum != 0 {
+			out[a.acct] = a.sum
 		}
 	}
 	return out
@@ -130,27 +121,22 @@ func (c *Clock) Accounts() map[Account]time.Duration {
 // Breakdown renders the accounts as a deterministic, human-readable summary
 // sorted by descending expenditure, e.g. for EXPLAIN ANALYZE-style output.
 func (c *Clock) Breakdown() string {
-	c.flushHot()
-	type kv struct {
-		k Account
-		v time.Duration
-	}
-	rows := make([]kv, 0, len(c.accounts))
-	for k, v := range c.accounts {
-		if v != 0 {
-			rows = append(rows, kv{k, v})
+	rows := make([]acctSum, 0, len(c.accounts))
+	for _, a := range c.accounts {
+		if a.sum != 0 {
+			rows = append(rows, a)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].v != rows[j].v {
-			return rows[i].v > rows[j].v
+		if rows[i].sum != rows[j].sum {
+			return rows[i].sum > rows[j].sum
 		}
-		return rows[i].k < rows[j].k
+		return rows[i].acct < rows[j].acct
 	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "total %v", c.now)
 	for _, r := range rows {
-		fmt.Fprintf(&b, "; %s %v", r.k, r.v)
+		fmt.Fprintf(&b, "; %s %v", r.acct, r.sum)
 	}
 	return b.String()
 }

@@ -29,7 +29,6 @@ type frame struct {
 	pins  int
 	ref   bool // clock reference bit
 	dirty bool
-	used  bool
 }
 
 // Pool is a buffer pool over a Disk. All page access in the engine goes
@@ -43,6 +42,7 @@ type Pool struct {
 	dev    *iomodel.Device
 	clock  *simclock.Clock
 	frames []frame
+	used   int // frames[:used] hold pages; the rest were never claimed
 	index  map[pageKey]int
 	hand   int
 	stats  PoolStats
@@ -128,7 +128,6 @@ func (p *Pool) Get(file FileID, page PageNo) []byte {
 	f.pins = 1
 	f.ref = true
 	f.dirty = false
-	f.used = true
 	p.index[key] = fi
 	p.lastKey, p.lastFrame, p.haveLast = key, fi, true
 	p.stats.Pins++
@@ -189,13 +188,15 @@ func (p *Pool) Prefetch(file FileID, page PageNo, n int) {
 func (p *Pool) PrefetchUnit() int { return p.dev.PrefetchUnit() }
 
 // evictAndClaim finds a free frame, evicting with the clock algorithm if
-// needed, and returns its index. Panics if every frame is pinned — a pool
-// sized per NewPool's minimum cannot deadlock unless iterators leak pins.
+// needed, and returns its index. Frames are claimed in index order and an
+// evicted frame is re-claimed by the same Get, so the frames in use are
+// always the prefix frames[:used]: a full pool goes straight to the clock
+// hand. Panics if every frame is pinned — a pool sized per NewPool's
+// minimum cannot deadlock unless iterators leak pins.
 func (p *Pool) evictAndClaim() int {
-	for i := range p.frames {
-		if !p.frames[i].used {
-			return i
-		}
+	if p.used < len(p.frames) {
+		p.used++
+		return p.used - 1
 	}
 	for sweep := 0; sweep < 2*len(p.frames)+1; sweep++ {
 		f := &p.frames[p.hand]
@@ -233,16 +234,14 @@ func (p *Pool) evict(i int) {
 // page is still pinned. Used between experiment runs to return the engine
 // to a cold state.
 func (p *Pool) FlushAll() {
-	for i := range p.frames {
+	for i := range p.frames[:p.used] {
 		f := &p.frames[i]
-		if !f.used {
-			continue
-		}
 		if f.pins > 0 {
 			panic(fmt.Sprintf("storage: FlushAll with pinned page %d:%d", f.file, f.page))
 		}
 		p.evict(i)
 	}
+	p.used = 0
 	p.hand = 0
 }
 

@@ -209,3 +209,38 @@ func TestPrefetchMakesScanSequentialPrice(t *testing.T) {
 			c.Now(), params.RandomCost(8))
 	}
 }
+
+// TestFullPoolMissStartsAtHand pins where a miss on a full pool looks for
+// its frame: at the clock hand, inspecting nothing before it. The frame
+// before the hand is made to look never-claimed; a search for a free frame
+// — which a full pool has no reason to make, and which used to walk every
+// frame on every miss — would take it.
+func TestFullPoolMissStartsAtHand(t *testing.T) {
+	p, _ := newPool(t, 4)
+	f := p.Disk().CreateFile()
+	for i := 0; i < 6; i++ {
+		p.Disk().AllocPage(f)
+	}
+	for pg := PageNo(0); pg < 5; pg++ { // page 4 evicts frame 0; the hand moves to 1
+		p.Get(f, pg)
+		p.Unpin(f, pg)
+	}
+	if p.used != 4 || p.hand != 1 {
+		t.Fatalf("used = %d, hand = %d after filling the pool and one eviction, want 4 and 1", p.used, p.hand)
+	}
+	delete(p.index, pageKey{f, 4})
+	p.frames[0] = frame{}
+	p.haveLast = false
+
+	p.Get(f, 5)
+	p.Unpin(f, 5)
+	if fi := p.index[pageKey{f, 5}]; fi != 1 {
+		t.Errorf("miss on a full pool claimed frame %d, want the hand's frame 1", fi)
+	}
+	if p.hand != 2 {
+		t.Errorf("hand = %d after the miss, want 2", p.hand)
+	}
+	if s := p.Stats(); s.Misses != 6 || s.Evictions != 2 {
+		t.Errorf("stats = %+v, want 6 misses and 2 evictions", s)
+	}
+}
